@@ -953,7 +953,7 @@ let lint_cmd =
 (* serve --------------------------------------------------------------- *)
 
 (* The persistent equivalence/lint daemon (lib/serve): packed
-   networks and the fingerprint-keyed verdict caches stay warm across
+   networks and the exact-keyed verdict caches stay warm across
    requests, with optional disk snapshots so they survive restarts.
    The same subcommand doubles as the scripted client: --call sends
    one JSON request over the socket and prints the response — the

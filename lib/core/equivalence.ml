@@ -139,27 +139,51 @@ let equivalent_enum g =
 let fingerprint_distinct a b =
   not (Fingerprint.equal (Fingerprint.of_network a) (Fingerprint.of_network b))
 
-let by_isomorphism ?limit g =
-  let base = Baseline.network (Mi_digraph.stages g) in
-  if fingerprint_distinct g base then
-    { equivalent = false;
-      banyan = Banyan.is_banyan g;
-      detail = "structural fingerprint differs from the Baseline MI-digraph (no isomorphism)"
-    }
+(* One Baseline record per stage count, so its packed form and
+   fingerprint are built once per process instead of once per call.
+   Benign race under Domains, as for the packed form: concurrent
+   builders store equal records and either wins. *)
+let baselines = Array.make 64 None
+
+let baseline n =
+  if n >= Array.length baselines then Baseline.network n
   else
-  match
-    Iso.find_isomorphism ?limit (Mi_digraph.to_digraph g) (Mi_digraph.to_digraph base)
-  with
-  | Some _ ->
-      { equivalent = true;
-        banyan = Banyan.is_banyan g;
-        detail = "explicit digraph isomorphism onto the Baseline MI-digraph found"
-      }
-  | None ->
-      { equivalent = false;
-        banyan = Banyan.is_banyan g;
-        detail = "no digraph isomorphism onto the Baseline MI-digraph exists"
-      }
+    match baselines.(n) with
+    | Some b -> b
+    | None ->
+        let b = Baseline.network n in
+        baselines.(n) <- Some b;
+        b
+
+let by_isomorphism ?limit g =
+  match banyan_result g with
+  | Error v ->
+      (* The Baseline MI-digraph is Banyan and an isomorphism keeps
+         path counts, so this is a sound negative without a
+         fingerprint or a search. *)
+      not_banyan v
+  | Ok () -> (
+      let base = baseline (Mi_digraph.stages g) in
+      if fingerprint_distinct g base then
+        { equivalent = false;
+          banyan = true;
+          detail =
+            "structural fingerprint differs from the Baseline MI-digraph (no isomorphism)"
+        }
+      else
+        match
+          Iso.find_isomorphism ?limit (Mi_digraph.to_digraph g) (Mi_digraph.to_digraph base)
+        with
+        | Some _ ->
+            { equivalent = true;
+              banyan = true;
+              detail = "explicit digraph isomorphism onto the Baseline MI-digraph found"
+            }
+        | None ->
+            { equivalent = false;
+              banyan = true;
+              detail = "no digraph isomorphism onto the Baseline MI-digraph exists"
+            })
 
 let decide ?limit m g =
   match m with

@@ -49,11 +49,17 @@ val by_independence_any_split : Mi_digraph.t -> verdict
 val by_characterization : Mi_digraph.t -> verdict
 
 val by_isomorphism : ?limit:int -> Mi_digraph.t -> verdict
-(** Prefiltered by {!Fingerprint}: a fingerprint mismatch against the
-    Baseline is a sound immediate negative (on MI-digraphs every
-    digraph isomorphism is stage-respecting), so the exhaustive
-    search only runs on fingerprint-equal pairs — refutations, its
-    most expensive outcomes, are mostly decided without search. *)
+(** Two sound negatives run before the search.  First the Banyan
+    test, computed once: the Baseline MI-digraph is Banyan, so a
+    non-Banyan network is answered with the same verdict as
+    {!by_characterization} gives it, without a fingerprint.  Then
+    {!Fingerprint}: a mismatch against the Baseline is an immediate
+    negative (on MI-digraphs every digraph isomorphism is
+    stage-respecting), so the exhaustive search only runs on
+    fingerprint-equal pairs — refutations, its most expensive
+    outcomes, are mostly decided without search.  The Baseline record
+    for each stage count is built once per process and shared, so its
+    packed form and fingerprint are computed once. *)
 
 val equivalent_enum : Mi_digraph.t -> bool
 (** Enumeration-only characterization verdict (Banyan by the packed

@@ -39,9 +39,11 @@ type t = {
   conns : Connection.t array;
   mutable packed_cache : packed option;
   mutable fp_cache : (int * int) option;
+  mutable hash_cache : int option;
 }
 
-let make ~width conns = { width; conns; packed_cache = None; fp_cache = None }
+let make ~width conns =
+  { width; conns; packed_cache = None; fp_cache = None; hash_cache = None }
 
 let stages g = Array.length g.conns + 1
 
@@ -188,6 +190,13 @@ let packed g =
 let fingerprint_cache g = g.fp_cache
 
 let set_fingerprint_cache g fp = g.fp_cache <- Some fp
+
+(* Structural-hash cache slot: the same arrangement for the memo's
+   bucket hash, which [Mineq_engine.Memo] owns and computes. *)
+
+let structural_hash_cache g = g.hash_cache
+
+let set_structural_hash_cache g h = g.hash_cache <- Some h
 
 let subgraph g ~lo ~hi =
   let n = stages g in

@@ -66,6 +66,18 @@ val set_fingerprint_cache : t -> int * int -> unit
 (** Store the fingerprint halves.  Benign race under Domains: the
     computation is deterministic, so concurrent writers agree. *)
 
+val structural_hash_cache : t -> int option
+(** The cached structural hash, if [Mineq_engine.Memo.structural_hash]
+    has already computed it for this record.  A slot on the record,
+    like {!fingerprint_cache}, so a verdict-cache probe with a network
+    it has seen before walks none of its gaps; only [Memo] interprets
+    the int.  The value is a pure function of the connections, so it
+    survives a [Marshal] round trip (the serving layer's snapshots). *)
+
+val set_structural_hash_cache : t -> int -> unit
+(** Store the structural hash.  Same benign race as
+    {!set_fingerprint_cache}. *)
+
 val pack_tables :
   stages:int -> radix:int -> width:int -> child:(gap:int -> port:int -> int -> int) -> packed
 (** General packed constructor for radix-[r] stage networks:

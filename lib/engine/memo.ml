@@ -3,26 +3,36 @@
    The pre-sharding memo keyed on [Digest.string (Spec_io.to_string g)]
    — an MD5 of the rendered spec text, serializing the whole network
    on every probe.  The replacement key is the network itself under a
-   cheap structural hash: per gap, per source label, the unordered
-   child pair [(min (f x) (g x), max (f x) (g x))] folded through a
-   multiply-xor mixer.  Using the unordered pair makes both hash and
-   equality insensitive to the non-canonical [(f, g)] decomposition
-   (swapping [f] and [g] is the same digraph), which is exactly the
-   arc-multiset equality [Mi_digraph.equal] implements — but computed
-   pointwise with no allocation.  Collisions are harmless: the
-   hashtable falls back on [structural_equal].
+   cheap structural hash: per gap, per source label, the child pair
+   [(f x, g x)] folded through a multiply-xor mixer.  The pair is
+   ordered: [f] is a cell's port-0 output and [g] its port-1 output,
+   and cached values depend on which is which (destination-tag
+   routing and the blocking survey follow ports, lint's independence
+   findings read the stored split).  So two networks share an entry
+   exactly when every cell has the same two children on the same
+   ports — finer than [Mi_digraph.equal], which ignores the split.
+   Computed pointwise with no allocation.  Collisions are harmless:
+   the hashtable falls back on [structural_equal].
+
+   A repeat probe walks no network.  The hash is computed once per
+   record and cached on it ([Mi_digraph.structural_hash_cache]);
+   [structural_equal] stops at physical equality; and a hit rebinds
+   the table's stored key to the probing record, so a key that came
+   from elsewhere (a snapshot import, an equal record built earlier)
+   costs full comparisons on its first hit only.
 
    A second keying collapses entries further: the canonical
-   Fingerprint identifies all isomorphic networks (up to WL hash
-   collisions), so iso-invariant computations — every verdict that
-   depends only on the isomorphism class — hit the cache across
-   relabellings the structural key treats as distinct.  The keying is
+   Fingerprint identifies all isomorphic networks up to WL hash
+   collisions, so iso-invariant computations hit the cache across
+   relabellings the structural key treats as distinct.  Collisions do
+   occur (see the mli), so that keying is opt-in.  The keying is
    chosen at [create] time; the probing API is identical. *)
 
 let structural_equal a b =
   let module M = Mineq.Mi_digraph in
   let module C = Mineq.Connection in
-  M.width a = M.width b
+  a == b
+  || M.width a = M.width b
   && M.stages a = M.stages b
   &&
   let per = M.nodes_per_stage a in
@@ -33,11 +43,7 @@ let structural_equal a b =
     let rec labels x =
       x = per
       ||
-      let afx = C.f ca x and agx = C.g ca x in
-      let bfx = C.f cb x and bgx = C.g cb x in
-      min afx agx = min bfx bgx
-      && max afx agx = max bfx bgx
-      && labels (x + 1)
+      C.f ca x = C.f cb x && C.g ca x = C.g cb x && labels (x + 1)
     in
     labels 0 && gaps (i + 1)
   in
@@ -50,7 +56,7 @@ let mix h k =
   let h = (h + k) * mult in
   h lxor (h lsr 29)
 
-let structural_hash g =
+let hash_arcs g =
   let module M = Mineq.Mi_digraph in
   let module C = Mineq.Connection in
   let per = M.nodes_per_stage g in
@@ -58,13 +64,21 @@ let structural_hash g =
   for i = 1 to M.stages g - 1 do
     let c = M.connection g i in
     for x = 0 to per - 1 do
-      let fx = C.f c x and gx = C.g c x in
-      let lo = if fx <= gx then fx else gx and hi = if fx <= gx then gx else fx in
-      h := mix !h (lo lor (hi lsl 20))
+      h := mix !h (C.f c x lor (C.g c x lsl 20))
     done
   done;
   (* Land in Hashtbl's expected non-negative range. *)
   !h land max_int
+
+(* Benign race under Domains, as for the packed form: the hash is
+   deterministic, so concurrent writers store the same int. *)
+let structural_hash g =
+  match Mineq.Mi_digraph.structural_hash_cache g with
+  | Some h -> h
+  | None ->
+      let h = hash_arcs g in
+      Mineq.Mi_digraph.set_structural_hash_cache g h;
+      h
 
 let digest_key g = Digest.string (Mineq.Spec_io.to_string g)
 
@@ -91,11 +105,25 @@ let keying_name = function Structural -> "structural" | Fingerprint -> "fingerpr
 (* Lock striping: a probe touches one shard mutex chosen by the key
    hash, so concurrent workers probing different networks never
    contend.  Counters are per shard, mutated under the shard lock and
-   summed on read. *)
+   summed on read.
 
-type 'a table = S of 'a H.t | F of 'a FH.t
+   Single flight: the first prober of a key stores a [Pending] cell
+   and computes outside the lock; a later prober of the same key waits
+   on the shard's condition for that value instead of computing it a
+   second time, and counts a hit.  A computation that raises removes
+   its marker, and a waiter then computes in its place. *)
 
-type 'a shard = { table : 'a table; m : Mutex.t; mutable hits : int; mutable misses : int }
+type 'a cell = Ready of 'a | Pending
+
+type 'a table = S of 'a cell H.t | F of 'a cell FH.t
+
+type 'a shard = {
+  table : 'a table;
+  m : Mutex.t;
+  filled : Condition.t;  (* broadcast whenever a [Pending] cell resolves *)
+  mutable hits : int;
+  mutable misses : int;
+}
 
 let shard_count = 16 (* power of two: shard index is a mask of the hash *)
 
@@ -107,7 +135,7 @@ let create ?(size = 64) ?(keying = Structural) () =
       Array.init shard_count (fun _ ->
           let cap = max 1 (size / shard_count) in
           let table = match keying with Structural -> S (H.create cap) | Fingerprint -> F (FH.create cap) in
-          { table; m = Mutex.create (); hits = 0; misses = 0 })
+          { table; m = Mutex.create (); filled = Condition.create (); hits = 0; misses = 0 })
   }
 
 let keying t = t.keying
@@ -119,45 +147,63 @@ let key_hash t g =
 
 let shard t g = t.shards.(key_hash t g land (shard_count - 1))
 
+(* One probe of shard [s] for one key, through that key's [find],
+   [set] and [remove] on the shard's table. *)
+let probe s ~find ~set ~remove f g =
+  Mutex.lock s.m;
+  let rec go () =
+    match find () with
+    | Some (Ready v as cell) ->
+        s.hits <- s.hits + 1;
+        (* Rebind the stored key to the probing one.  When it already
+           is that key this stops at physical equality; otherwise the
+           old key (an imported or earlier equal record) is dropped,
+           and later probes with this record compare nothing. *)
+        set cell;
+        Mutex.unlock s.m;
+        v
+    | Some Pending ->
+        Condition.wait s.filled s.m;
+        go ()
+    | None -> (
+        s.misses <- s.misses + 1;
+        set Pending;
+        Mutex.unlock s.m;
+        match f g with
+        | v ->
+            Mutex.lock s.m;
+            set (Ready v);
+            Condition.broadcast s.filled;
+            Mutex.unlock s.m;
+            v
+        | exception e ->
+            let bt = Printexc.get_raw_backtrace () in
+            Mutex.lock s.m;
+            remove ();
+            Condition.broadcast s.filled;
+            Mutex.unlock s.m;
+            Printexc.raise_with_backtrace e bt)
+  in
+  go ()
+
 let find_or_compute t g f =
   let s = shard t g in
-  (* Probe under the shard lock; compute outside it.  A value may
-     rarely be computed twice under contention — harmless,
-     computations are deterministic — and the first store wins. *)
   match s.table with
-  | S tbl -> (
-      Mutex.lock s.m;
-      match H.find_opt tbl g with
-      | Some v ->
-          s.hits <- s.hits + 1;
-          Mutex.unlock s.m;
-          v
-      | None ->
-          s.misses <- s.misses + 1;
-          Mutex.unlock s.m;
-          let v = f g in
-          Mutex.lock s.m;
-          if not (H.mem tbl g) then H.add tbl g v;
-          Mutex.unlock s.m;
-          v)
-  | F tbl -> (
+  | S tbl ->
+      probe s
+        ~find:(fun () -> H.find_opt tbl g)
+        ~set:(H.replace tbl g)
+        ~remove:(fun () -> H.remove tbl g)
+        f g
+  | F tbl ->
       (* [of_network] memoises on the record, so hash and probe share
          one refinement pass. *)
       let k = Mineq.Fingerprint.of_network g in
-      Mutex.lock s.m;
-      match FH.find_opt tbl k with
-      | Some v ->
-          s.hits <- s.hits + 1;
-          Mutex.unlock s.m;
-          v
-      | None ->
-          s.misses <- s.misses + 1;
-          Mutex.unlock s.m;
-          let v = f g in
-          Mutex.lock s.m;
-          if not (FH.mem tbl k) then FH.add tbl k v;
-          Mutex.unlock s.m;
-          v)
+      probe s
+        ~find:(fun () -> FH.find_opt tbl k)
+        ~set:(FH.replace tbl k)
+        ~remove:(fun () -> FH.remove tbl k)
+        f g
 
 (* Export / import -------------------------------------------------
 
@@ -179,9 +225,12 @@ let export t =
   let acc = ref [] in
   Array.iter
     (fun s ->
+      (* A [Pending] key has no value yet: it is not part of the cut. *)
       match s.table with
-      | S tbl -> H.iter (fun k v -> acc := Skey (k, v) :: !acc) tbl
-      | F tbl -> FH.iter (fun k v -> acc := Fkey (k, v) :: !acc) tbl)
+      | S tbl ->
+          H.iter (fun k -> function Ready v -> acc := Skey (k, v) :: !acc | Pending -> ()) tbl
+      | F tbl ->
+          FH.iter (fun k -> function Ready v -> acc := Fkey (k, v) :: !acc | Pending -> ()) tbl)
     t.shards;
   for i = Array.length t.shards - 1 downto 0 do
     Mutex.unlock t.shards.(i).m
@@ -199,14 +248,14 @@ let import t entries =
           let s = t.shards.(structural_hash g land (shard_count - 1)) in
           Mutex.lock s.m;
           (match s.table with
-          | S tbl -> if not (H.mem tbl g) then (H.add tbl g v; incr adopted)
+          | S tbl -> if not (H.mem tbl g) then (H.add tbl g (Ready v); incr adopted)
           | F _ -> ());
           Mutex.unlock s.m)
       | Fkey (k, v), Fingerprint -> (
           let s = t.shards.(Mineq.Fingerprint.hash k land (shard_count - 1)) in
           Mutex.lock s.m;
           (match s.table with
-          | F tbl -> if not (FH.mem tbl k) then (FH.add tbl k v; incr adopted)
+          | F tbl -> if not (FH.mem tbl k) then (FH.add tbl k (Ready v); incr adopted)
           | S _ -> ());
           Mutex.unlock s.m)
       | Skey _, Fingerprint | Fkey _, Structural -> ())

@@ -15,7 +15,7 @@ type t = {
 }
 
 let create () =
-  { equiv = Memo.create ~keying:Memo.Fingerprint ();
+  { equiv = Memo.create ();
     lint = Memo.create ();
     blocking = Memo.create ();
     metrics = Metrics.create ();
@@ -168,8 +168,7 @@ let handle_equiv t (r : Proto.request) =
       match Option.value r.method_ ~default:"characterization" with
       | "characterization" -> respond "characterization" (cached_verdict t g)
       | ("independence" | "isomorphism") as name ->
-          (* Label-sensitive deciders: computed fresh, never cached
-             under the fingerprint keying (see the mli). *)
+          (* Computed fresh: only the default decider has a cache. *)
           let m =
             if String.equal name "independence" then Equivalence.Independence
             else Equivalence.Isomorphism

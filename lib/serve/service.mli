@@ -2,20 +2,33 @@
     networks, sharded verdict caches and metrics, independent of any
     socket.
 
-    Three {!Mineq_engine.Memo} caches hold verdicts:
+    Three {!Mineq_engine.Memo} caches hold verdicts, all keyed
+    {e structurally}: the same children on the same ports at every
+    cell, so a cached value is only ever returned for the network it
+    was computed on:
 
-    - [equiv] is {e fingerprint-keyed}: the cached
-      [equivalent]/[banyan] fields depend only on the isomorphism
-      class, so a relabelled probe of a known network is a warm hit.
-      Only the default [characterization] decider is served from this
-      cache; explicit [independence]/[isomorphism] requests compute
-      fresh (their verdicts and details are label-sensitive).
-    - [lint] and [blocking] are {e structural}: findings carry
-      stage/label witnesses, sound only for the identical digraph.
+    - [equiv] holds the default [characterization] decider's whole
+      verdict, [detail] included, and serves both [equiv] and
+      [banyan] requests.  Explicit [independence]/[isomorphism]
+      requests compute fresh.
+    - [lint] and [blocking] hold findings with stage/label witnesses
+      and Certify survey rows.
+
+    A relabelled copy of a known network is a different key and
+    misses, and so is a copy with some cell's output ports exchanged
+    (the same digraph, but not the same router).  Fingerprint keying
+    is not used: WL fingerprints collide across isomorphism classes
+    (see {!Mineq_engine.Memo}), and a verdict's [detail] is
+    label-bearing.  No request computes a
+    {!Mineq.Fingerprint} except an [isomorphism]-method request whose
+    network is Banyan ({!Mineq.Equivalence.by_isomorphism}).
 
     Parsed networks (and their packed CSR forms, built lazily on
     first use and cached in the record) are resident in a spec-keyed
-    table, so repeat queries skip parsing and packing entirely.
+    table, so repeat queries skip parsing and packing entirely.  A
+    resident record also carries its cached structural hash and, after
+    its first hit, is the stored key of its cache entries: a repeat
+    probe compares no network (see {!Mineq_engine.Memo}).
 
     {!handle} is safe to call from multiple pool workers at once: the
     caches are lock-striped, the network table has its own mutex, and

@@ -13,7 +13,12 @@ let entry_count p =
 
 let magic = "MINEQSNAP"
 
-let version = 1
+(* 2: the equiv cache exports structural ([Skey]) entries instead of
+   fingerprint ([Fkey]) ones, the structural hash orders each cell's
+   two ports, and [Mi_digraph.t] gained its structural-hash slot — a
+   version-1 payload unmarshalled into the new record layout would
+   read past the end of each network block. *)
+let version = 2
 
 type error =
   | Missing

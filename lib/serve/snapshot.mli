@@ -11,8 +11,10 @@
     v}
 
     The payload is the {!Mineq_engine.Memo.export} of each cache —
-    plain data (networks are int-array records, fingerprints are two
-    ints), so [Marshal] round-trips it without closures.  Writes go to
+    plain data (networks are int-array records with their cache slots,
+    fingerprints are two ints), so [Marshal] round-trips it without
+    closures.  Since version 2 every cache, [equiv] included, exports
+    structural ([Skey]) entries.  Writes go to
     [path ^ ".tmp"] and rename into place, so a crash mid-write leaves
     the previous snapshot intact: write-behind is durable at the
     granularity of the last completed save.
@@ -40,9 +42,11 @@ val empty : payload
 val entry_count : payload -> int
 
 val version : int
-(** Bumped whenever {!payload} (or anything it references) changes
-    shape; older files are rejected with {!Stale_version} rather than
-    unmarshalled into the wrong layout. *)
+(** Bumped whenever {!payload} (or anything it references, such as
+    the {!Mineq.Mi_digraph.t} record or the meaning of its cached
+    structural hash) changes shape; older files are rejected with
+    {!Stale_version} rather than unmarshalled into the wrong layout,
+    which would be memory-unsafe. *)
 
 type error =
   | Missing  (** no file at the path *)

@@ -49,3 +49,16 @@ let random_banyan_pipid rng ~n =
   attempt ()
 
 let all_classical ~n = Mineq.Classical.all_networks ~n
+
+(* The same network with one cell's two output ports exchanged at
+   [gap]: the digraph is unchanged, the port assignment is not. *)
+let swap_ports g ~gap ~cell =
+  let module C = Mineq.Connection in
+  Mineq.Mi_digraph.map_gaps g (fun i c ->
+      if i <> gap then c
+      else begin
+        let f = Array.init (C.half c) (C.f c) and g = Array.init (C.half c) (C.g c) in
+        f.(cell) <- C.g c cell;
+        g.(cell) <- C.f c cell;
+        C.of_arrays ~width:(C.width c) f g
+      end)

@@ -175,15 +175,24 @@ let test_memo_key_structural () =
   let a = Mineq.Baseline.network 4 and b = Mineq.Baseline.network 4 in
   check_true "independent builds are structurally equal" (Memo.structural_equal a b);
   check_int "and hash alike" (Memo.structural_hash a) (Memo.structural_hash b);
-  (* The (f, g) decomposition is not canonical: swapping it changes
-     the spec text (and possibly the digest) but never the digraph,
-     so the structural key must not see it. *)
+  (* The (f, g) split is each cell's port assignment.  Swapping it
+     keeps the digraph but not the network: swapped at one cell, Omega
+     is no longer a destination-tag (delta) network, so a cached
+     blocking survey would be wrong for it.  The key must see the
+     swap. *)
   let swapped =
     Mineq.Mi_digraph.map_gaps a (fun i c -> if i = 1 then Mineq.Connection.swap c else c)
   in
-  check_true "decomposition swap keeps structural equality"
-    (Memo.structural_equal a swapped);
-  check_int "and the hash" (Memo.structural_hash a) (Memo.structural_hash swapped)
+  check_true "a whole-gap swap keeps the digraph" (Mineq.Mi_digraph.equal a swapped);
+  check_false "but is a different key" (Memo.structural_equal a swapped);
+  let omega = Mineq.Classical.network Omega ~n:4 in
+  let one_cell = swap_ports omega ~gap:2 ~cell:0 in
+  check_true "a one-cell swap keeps the digraph" (Mineq.Mi_digraph.equal omega one_cell);
+  check_true "omega routes by destination tag"
+    (Option.is_some (Mineq_route.Bit_follow.of_network omega));
+  check_true "the one-cell swap does not"
+    (Option.is_none (Mineq_route.Bit_follow.of_network one_cell));
+  check_false "so the key separates them" (Memo.structural_equal omega one_cell)
 
 let memo_key_props =
   (* Agreement with the retired Digest-of-spec key: equal specs key
@@ -319,13 +328,65 @@ let memo_export_props =
         && Memo.import (Memo.create ~keying:other ()) entries = 0)
   ]
 
+let memo_hash_cache_props =
+  [ qcheck "cached structural hash equals a fresh equal build's" ~count:40 seed_gen
+      (fun seed ->
+        (* The first call fills the record's slot and later calls read
+           it; a second build from the same seed, and a Marshal copy
+           (how snapshot keys arrive), must hash the same. *)
+        let build () = Mineq.Link_spec.random_network (rng_of seed) ~n:(3 + (seed mod 3)) in
+        let g = build () in
+        let h = Memo.structural_hash g in
+        let fresh = build () in
+        let copy : Mineq.Mi_digraph.t = Marshal.from_string (Marshal.to_string g []) 0 in
+        Mineq.Mi_digraph.structural_hash_cache g = Some h
+        && Memo.structural_hash g = h
+        && Option.is_none (Mineq.Mi_digraph.structural_hash_cache fresh)
+        && Memo.structural_hash fresh = h
+        && Memo.structural_hash copy = h
+        && Memo.structural_equal g g
+        && Memo.structural_equal g fresh)
+  ]
+
+let test_memo_rebind () =
+  (* An imported key is a different record from the one later probes
+     use; the first hit rebinds the entry to the probing record, so
+     the table holds what its callers hold. *)
+  let m = Memo.create () in
+  let first = Mineq.Baseline.network 4 in
+  ignore (Memo.find_or_compute m first Mineq.Equivalence.by_characterization);
+  let fresh = Memo.create () in
+  check_int "one entry adopted" 1 (Memo.import fresh (Memo.export m));
+  let prober = Mineq.Baseline.network 4 in
+  ignore (Memo.find_or_compute fresh prober (fun _ -> Alcotest.fail "recomputed"));
+  ignore (Memo.find_or_compute fresh prober (fun _ -> Alcotest.fail "recomputed"));
+  check_int "both probes hit" 2 (Memo.hits fresh);
+  check_true "the stored key is now the probing record"
+    (match Memo.export fresh with [| Memo.Skey (k, _) |] -> k == prober | _ -> false)
+
+let test_memo_raising_compute () =
+  (* A raising computation leaves no entry behind (in particular no
+     marker a later probe would wait on): the next probe computes. *)
+  let m = Memo.create () in
+  let g = Mineq.Baseline.network 3 in
+  (match Memo.find_or_compute m g (fun _ -> failwith "kernel") with
+  | _ -> Alcotest.fail "the exception was swallowed"
+  | exception Failure _ -> ());
+  check_int "nothing stored" 0 (Memo.size m);
+  check_true "the next probe computes"
+    (Memo.find_or_compute m g Mineq.Equivalence.by_characterization).Mineq.Equivalence.equivalent;
+  check_int "two misses, one entry" 2 (Memo.misses m);
+  check_int "one entry" 1 (Memo.size m)
+
 let memo_suite =
   [ quick "verdict caching" test_memo_verdicts;
+    quick "a raising computation stores nothing" test_memo_raising_compute;
     quick "structural keys" test_memo_key_structural;
+    quick "a hit rebinds the stored key" test_memo_rebind;
     quick "shared across parallel workers" test_memo_parallel;
     quick "fingerprint keying collapses iso classes" test_memo_fingerprint_keying
   ]
-  @ memo_key_props @ memo_keying_props @ memo_export_props
+  @ memo_key_props @ memo_hash_cache_props @ memo_keying_props @ memo_export_props
 
 (* batch --------------------------------------------------------------- *)
 

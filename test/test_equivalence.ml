@@ -139,6 +139,12 @@ let props =
         | None -> true
         | Some g ->
             (E.by_characterization g).equivalent = (E.by_isomorphism g).equivalent);
+    qcheck "isomorphism decider answers non-Banyan networks without a fingerprint" ~count:40
+      n_and_seed (fun (n, seed) ->
+        let g = Mineq.Link_spec.random_network (rng_of seed) ~n in
+        Mineq.Banyan.is_banyan g
+        || E.by_isomorphism g = E.by_characterization g
+           && Option.is_none (M.fingerprint_cache g));
     qcheck "equivalence invariant under reversal" ~count:30 n_and_seed (fun (n, seed) ->
         let g = random_banyan_pipid (rng_of seed) ~n in
         (E.by_characterization (M.reverse g)).equivalent)

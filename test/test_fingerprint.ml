@@ -102,6 +102,24 @@ let test_collision_corpus () =
         (Option.is_some (Mineq.Iso_min.find a.C.representative b.C.representative)))
     pairwise bucketed
 
+let test_cross_class_collision () =
+  (* The fingerprint is a sound negative, not a complete invariant:
+     this non-Banyan buddy network shares its fingerprint with a
+     Banyan one, so the two cannot be isomorphic yet hash alike.
+     A cache keyed on the fingerprint would answer one for the other
+     (see Mineq_engine.Memo). *)
+  let buddy seed = Cx.random_buddy_network (Mineq_engine.Seeds.state seed) ~n:4 in
+  let other = buddy 543963097 in
+  check_false "buddy:543963097 is not Banyan" (Mineq.Banyan.is_banyan other);
+  List.iter
+    (fun seed ->
+      let banyan = buddy seed in
+      check_true (Printf.sprintf "buddy:%d is Banyan" seed) (Mineq.Banyan.is_banyan banyan);
+      check_true
+        (Printf.sprintf "yet it shares buddy:543963097's fingerprint (buddy:%d)" seed)
+        (F.equal (fp banyan) (fp other)))
+    [ 202; 271; 318 ]
+
 let gen_kind_gen =
   QCheck.make
     ~print:(fun k -> k)
@@ -172,6 +190,7 @@ let suite =
     quick "scratch reuse and shape validation" test_scratch_reuse;
     quick "hex rendering and hashing" test_hex_and_hash;
     quick "colour class diagnostics" test_colour_classes;
-    quick "collision corpus falls back to Iso_min" test_collision_corpus
+    quick "collision corpus falls back to Iso_min" test_collision_corpus;
+    quick "a Banyan and a non-Banyan network collide" test_cross_class_collision
   ]
   @ props

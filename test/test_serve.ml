@@ -307,21 +307,180 @@ let test_service_verdicts () =
   check_true "blocking lists traffic classes"
     (match Proto.member "classes" resp with Proto.Arr (_ :: _) -> true | _ -> false)
 
+(* The verdict fields of an [equiv] response against a library
+   verdict, [detail] included. *)
+let matches_verdict resp (v : Mineq.Equivalence.verdict) =
+  Proto.response_ok resp
+  && json_equal (Proto.member "equivalent" resp) (Proto.Bool v.Mineq.Equivalence.equivalent)
+  && json_equal (Proto.member "banyan" resp) (Proto.Bool v.Mineq.Equivalence.banyan)
+  && json_equal (Proto.member "detail" resp) (Proto.Str v.Mineq.Equivalence.detail)
+
 let test_service_warm_hits () =
   let s = Service.create () in
   ignore (Service.handle s (request "equiv" ~network:"omega"));
   ignore (Service.handle s (request "equiv" ~network:"omega"));
-  (* Fingerprint keying: a different member of the same class also
-     hits the single cached entry. *)
-  ignore (Service.handle s (request "equiv" ~network:"flip"));
-  let stats = Service.handle s (request "stats") in
-  let equiv = Proto.member "equiv" (Proto.member "caches" stats) in
-  check_true "repeat and relabelled probes hit"
-    (json_equal (Proto.member "hits" equiv) (Proto.Int 2));
-  check_true "one stored entry for the class"
-    (json_equal (Proto.member "size" equiv) (Proto.Int 1));
+  (* Exact keys: flip is isomorphic to omega but a different labelled
+     digraph, so it misses and stores an entry with its own verdict. *)
+  let resp = Service.handle s (request "equiv" ~network:"flip") in
+  check_true "flip is answered with its own verdict"
+    (matches_verdict resp
+       (Mineq.Equivalence.by_characterization (Mineq.Classical.network Mineq.Classical.Flip ~n:4)));
+  let equiv = Proto.member "equiv" (Proto.member "caches" (Service.handle s (request "stats"))) in
+  check_true "the repeated omega query hits"
+    (json_equal (Proto.member "hits" equiv) (Proto.Int 1));
+  check_true "omega and flip each miss once"
+    (json_equal (Proto.member "misses" equiv) (Proto.Int 2));
+  check_true "flip stores its own entry"
+    (json_equal (Proto.member "size" equiv) (Proto.Int 2));
   check_true "keying is advertised"
-    (json_equal (Proto.member "keying" equiv) (Proto.Str "fingerprint"))
+    (json_equal (Proto.member "keying" equiv) (Proto.Str "structural"))
+
+let test_service_collision_pair () =
+  (* buddy:543963097 at n = 4 is not Banyan, yet its WL fingerprint
+     equals that of the Banyan buddy:202: under a fingerprint-keyed
+     memo the second query was answered from the first one's entry. *)
+  let s = Service.create () in
+  let banyan network =
+    Proto.member "banyan" (Service.handle s (request "banyan" ~network ~n:4))
+  in
+  check_true "buddy:202 is Banyan" (json_equal (banyan "buddy:202") (Proto.Bool true));
+  check_true "buddy:543963097 is not Banyan"
+    (json_equal (banyan "buddy:543963097") (Proto.Bool false))
+
+let test_service_port_swap () =
+  (* Omega with one cell's output ports exchanged is the same digraph
+     but no longer a destination-tag network.  A key that ignores the
+     port assignment answered it from Omega's blocking entry. *)
+  let s = Service.create () in
+  let omega = Mineq.Classical.network Mineq.Classical.Omega ~n:4 in
+  let swapped = swap_ports omega ~gap:2 ~cell:0 in
+  let spec = Mineq.Spec_io.to_string swapped in
+  let parsed =
+    match Mineq.Spec_io.of_string spec with
+    | Ok g -> g
+    | Error e -> Alcotest.fail (Mineq.Spec_io.error_to_string e)
+  in
+  let delta resp = Proto.member "delta" resp in
+  check_true "omega has a destination-tag router"
+    (json_equal (delta (Service.handle s (request "blocking" ~network:"omega"))) (Proto.Bool true));
+  check_true "the port-swapped copy does not"
+    (json_equal (delta (Service.handle s (request "blocking" ~spec))) (Proto.Bool false));
+  ignore (Service.handle s (request "lint" ~network:"omega"));
+  check_true "the copy's lint report is its own"
+    (json_equal
+       (Proto.member "report" (Service.handle s (request "lint" ~spec)))
+       (match Proto.json_of_string (Mineq_analysis.Report.to_json (Mineq_analysis.Lint.run parsed)) with
+       | Ok v -> v
+       | Error m -> Alcotest.fail m))
+
+(* A non-Banyan network and a relabelled copy whose [detail] strings
+   differ: the violation names stage labels. *)
+let relabelled_non_banyan_pair () =
+  let rec search seed =
+    if seed > 200 then Alcotest.fail "no relabelling changed the detail in 200 seeds"
+    else begin
+      let rng = rng_of seed in
+      let g = Mineq.Link_spec.random_network rng ~n:4 in
+      let g' = Mineq.Counterexample.relabelled_equivalent rng g in
+      let v = Mineq.Equivalence.by_characterization g
+      and v' = Mineq.Equivalence.by_characterization g' in
+      if (not v.Mineq.Equivalence.banyan) && v.Mineq.Equivalence.detail <> v'.Mineq.Equivalence.detail
+      then (g, g')
+      else search (seed + 1)
+    end
+  in
+  search 0
+
+let test_service_relabelled_detail () =
+  let g, g' = relabelled_non_banyan_pair () in
+  let s = Service.create () in
+  let ask g = Service.handle s (request "equiv" ~spec:(Mineq.Spec_io.to_string g)) in
+  check_true "the original gets its own detail"
+    (matches_verdict (ask g) (Mineq.Equivalence.by_characterization g));
+  check_true "the relabelled copy gets its own detail, not the original's"
+    (matches_verdict (ask g') (Mineq.Equivalence.by_characterization g'))
+
+let test_service_no_fingerprint () =
+  (* Characterization, banyan, lint and blocking requests, and an
+     isomorphism request on a non-Banyan network, leave the resident
+     record's fingerprint slot empty. *)
+  let s = Service.create () in
+  let ask ?method_ op network = ignore (Service.handle s (request op ~network ?method_)) in
+  let unfingerprinted network =
+    match Service.network_of_spec s ~spec:network ~n:4 with
+    | Ok g -> Option.is_none (Mineq.Mi_digraph.fingerprint_cache g)
+    | Error m -> Alcotest.failf "%s: %s" network m
+  in
+  List.iter
+    (fun network ->
+      ask "equiv" network;
+      ask "equiv" network ~method_:"characterization";
+      ask "banyan" network;
+      ask "lint" network;
+      ask "blocking" network;
+      check_true (network ^ " is never fingerprinted") (unfingerprinted network))
+    [ "omega"; "buddy:543963097" ];
+  ask "equiv" "buddy:543963097" ~method_:"isomorphism";
+  check_true "nor by an isomorphism request, being non-Banyan"
+    (unfingerprinted "buddy:543963097")
+
+(* A seeded request mix: named networks (classical, random, PIPID,
+   buddy) and inline spec text, then an inline relabelled copy of each,
+   in every equiv method and the banyan op.  The whole mix is asked
+   twice, so hits are checked as well as misses. *)
+let service_props =
+  [ qcheck "equiv/banyan answers equal the direct library call" ~count:25 seed_gen
+      (fun seed ->
+        let rng = rng_of seed in
+        let s = Service.create () in
+        (* The daemon parses the text, and a theta gap line parses to
+           Pipid_net's port assignment, which need not be [g]'s: the
+           library is asked about the parsed network, as the daemon
+           is. *)
+        let inline g =
+          let spec = Mineq.Spec_io.to_string g in
+          match Mineq.Spec_io.of_string spec with
+          | Ok parsed -> (parsed, fun ?method_ op -> request ~spec ?method_ op)
+          | Error e -> Alcotest.fail (Mineq.Spec_io.error_to_string e)
+        in
+        (* n <= 4 keeps every isomorphism-method request fast. *)
+        let original () =
+          let n = 3 + Random.State.int rng 2 in
+          let named name =
+            match Service.network_of_spec s ~spec:name ~n with
+            | Ok g -> (g, fun ?method_ op -> request ~network:name ~n ?method_ op)
+            | Error m -> Alcotest.failf "%s: %s" name m
+          in
+          let seeded family = Printf.sprintf "%s:%d" family (Random.State.int rng 1000) in
+          match Random.State.int rng 6 with
+          | 0 -> named "omega"
+          | 1 -> named "baseline"
+          | 2 -> named (seeded "random")
+          | 3 -> named (seeded "pipid")
+          | 4 -> named (seeded "buddy")
+          | _ -> inline (Mineq.Link_spec.random_network rng ~n)
+        in
+        let originals = List.init 5 (fun _ -> original ()) in
+        let copies =
+          List.map
+            (fun (g, _) -> inline (Mineq.Counterexample.relabelled_equivalent rng g))
+            originals
+        in
+        let agrees ((g, req) : Mineq.Mi_digraph.t * (?method_:string -> string -> Proto.request))
+            =
+          List.for_all
+            (fun m ->
+              matches_verdict
+                (Service.handle s (req ~method_:(Mineq.Equivalence.method_name m) "equiv"))
+                (Mineq.Equivalence.decide m g))
+            Mineq.Equivalence.all_methods
+          && json_equal
+               (Proto.member "banyan" (Service.handle s (req "banyan")))
+               (Proto.Bool (Mineq.Banyan.is_banyan g))
+        in
+        let mix = originals @ copies in
+        List.for_all agrees (mix @ mix))
+  ]
 
 let test_service_errors () =
   let s = Service.create () in
@@ -362,11 +521,16 @@ let test_service_internal_error () =
 
 let service_suite =
   [ quick "verdicts match the library" test_service_verdicts;
-    quick "warm hits across the iso class" test_service_warm_hits;
+    quick "warm hits on exact keys" test_service_warm_hits;
+    quick "fingerprint-colliding pair answered apart" test_service_collision_pair;
+    quick "relabelled copy gets its own detail" test_service_relabelled_detail;
+    quick "port-swapped copy gets its own blocking and lint" test_service_port_swap;
+    quick "no fingerprint on the request path" test_service_no_fingerprint;
     quick "typed request errors" test_service_errors;
     quick "inline spec text" test_service_inline_spec;
     quick "exception barrier" test_service_internal_error
   ]
+  @ service_props
 
 (* server -------------------------------------------------------------- *)
 
@@ -508,6 +672,30 @@ let test_server_snapshot_restart () =
         (json_equal (Proto.member "hits" equiv) (Proto.Int 1)));
   Sys.remove snap
 
+let test_server_stale_snapshot () =
+  (* Version 1 predates the structural equiv keys and the network
+     record's hash slot: unmarshalling it into today's layout would be
+     memory-unsafe, so it must be refused unread and the daemon must
+     boot cold, saying why. *)
+  let snap = Filename.temp_file "mineq_test" ".snap" in
+  Snapshot.save ~path:snap ~version:1 (Service.to_payload (warmed_service ()));
+  check_true "a version-1 file is Stale_version 1"
+    (match Snapshot.load ~path:snap with
+    | Error (Snapshot.Stale_version 1) -> true
+    | Ok _ | Error _ -> false);
+  let configure (c : Server.config) =
+    { c with snapshot_path = Some snap; snapshot_every_s = 3600.0 }
+  in
+  with_server ~configure (fun _path fd ->
+      let stats = call_exn fd (Proto.Obj [ ("op", Proto.Str "stats") ]) in
+      check_true "the boot note names the stale version"
+        (Proto.to_string_opt (Proto.member "snapshot" stats)
+        = Some ("load failed: " ^ Snapshot.error_to_string (Snapshot.Stale_version 1)));
+      let equiv = Proto.member "equiv" (Proto.member "caches" stats) in
+      check_true "the equiv cache boots empty"
+        (json_equal (Proto.member "size" equiv) (Proto.Int 0)));
+  if Sys.file_exists snap then Sys.remove snap
+
 let test_server_bad_n () =
   with_server (fun _path fd ->
       (* Before the n bound and the service's exception barrier, this
@@ -564,9 +752,15 @@ let test_server_conn_cap () =
         | Ok fd -> fd
         | Error m -> Alcotest.failf "third connect: %s" m
       in
+      (* The daemon runs in this process, so it may accept fd3's
+         connection into fd2's number once fd2 is closed: closing fd2
+         a second time would close that socket under the daemon's
+         select (EBADF), killing the loop and hanging the suite. *)
+      let fd2_open = ref true in
       Fun.protect
         ~finally:(fun () ->
-          List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ fd2; fd3 ])
+          if !fd2_open then (try Unix.close fd2 with Unix.Unix_error _ -> ());
+          try Unix.close fd3 with Unix.Unix_error _ -> ())
         (fun () ->
           (* At the cap the daemon stops accepting: the third client's
              request waits in the kernel backlog, unanswered. *)
@@ -576,6 +770,7 @@ let test_server_conn_cap () =
           | _ -> Alcotest.fail "served past max_conns");
           (* Freeing a slot lets the backlogged client in. *)
           Unix.close fd2;
+          fd2_open := false;
           match Proto.read_frame fd3 with
           | Ok resp -> (
               match Proto.json_of_string resp with
@@ -594,5 +789,6 @@ let server_suite =
     quick "out-of-range n is typed, not fatal" test_server_bad_n;
     quick "slow reader cannot stall the loop" test_server_slow_reader;
     quick "connection cap pauses accepts" test_server_conn_cap;
-    quick "snapshot warms a restart" test_server_snapshot_restart
+    quick "snapshot warms a restart" test_server_snapshot_restart;
+    quick "version-1 snapshot boots cold" test_server_stale_snapshot
   ]
