@@ -380,7 +380,7 @@ let x6 () =
         (bool_mark (Rn.is_banyan g))
         (bool_mark (Rn.by_independence g))
         (bool_mark (Rn.by_characterization g))
-        (bool_mark (Mineq_radix.Rrouting.is_delta g))
+        (bool_mark (Option.is_some (Routing.schedule (Rn.packed g))))
         (bool_mark (Rn.isomorphic g base3)))
     (Rb.all_networks ~radix:3 ~n:3)
 

@@ -1,7 +1,8 @@
 (* Command-line interface to the mineq library.
 
    Network specifications accepted everywhere a NETWORK argument
-   appears: one of the six classical names (omega, flip, cube /
+   appears are the daemon's grammar (Mineq_serve.Service.parse_named):
+   one of the six classical names (omega, flip, cube /
    indirect-binary-cube, mdm / modified-data-manipulator, baseline,
    reverse-baseline), or "random:SEED" (random link permutations),
    "pipid:SEED" (random PIPID stages), "buddy:SEED" (random stages
@@ -11,39 +12,28 @@ open Cmdliner
 open Mineq
 module Engine = Mineq_engine
 module Route = Mineq_route
-
-let parse_network spec ~n =
-  match Classical.of_name spec with
-  | Some kind -> Ok (Classical.network kind ~n)
-  | None -> (
-      match String.split_on_char ':' spec with
-      | [ "random"; seed ] -> (
-          match int_of_string_opt seed with
-          | Some s -> Ok (Link_spec.random_network (Engine.Seeds.state s) ~n)
-          | None -> Error (`Msg "random:SEED needs an integer seed"))
-      | [ "pipid"; seed ] -> (
-          match int_of_string_opt seed with
-          | Some s -> Ok (Link_spec.random_pipid_network (Engine.Seeds.state s) ~n)
-          | None -> Error (`Msg "pipid:SEED needs an integer seed"))
-      | [ "buddy"; seed ] -> (
-          match int_of_string_opt seed with
-          | Some s -> Ok (Counterexample.random_buddy_network (Engine.Seeds.state s) ~n)
-          | None -> Error (`Msg "buddy:SEED needs an integer seed"))
-      | _ ->
-          Error
-            (`Msg
-              (Printf.sprintf
-                 "unknown network %S (expected a classical name, random:SEED, pipid:SEED or \
-                  buddy:SEED)"
-                 spec)))
+module Service = Mineq_serve.Service
 
 let network_arg =
   let doc = "Network: classical name, random:SEED, pipid:SEED or buddy:SEED." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"NETWORK" ~doc)
 
 let n_arg =
-  let doc = "Number of stages (log2 of the terminal count)." in
-  Arg.(value & opt int 4 & info [ "n"; "stages" ] ~docv:"N" ~doc)
+  (* Bounded like the daemon's "n" field (Proto.n_limit): no network
+     has fewer than 2 stages, and an unbounded N lets one argument
+     exhaust memory. *)
+  let limit = Mineq_serve.Proto.n_limit in
+  let n_conv =
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n >= 2 && n <= limit -> Ok n
+      | Some _ -> Error (`Msg (Printf.sprintf "N must be between 2 and %d" limit))
+      | None -> Error (`Msg "N must be an integer")
+    in
+    Arg.conv (parse, Format.pp_print_int)
+  in
+  let doc = Printf.sprintf "Number of stages (log2 of the terminal count), 2..%d." limit in
+  Arg.(value & opt n_conv 4 & info [ "n"; "stages" ] ~docv:"N" ~doc)
 
 let jobs_arg =
   (* Defaults to every available core and rejects non-positive values
@@ -70,14 +60,16 @@ let seed_arg =
   let doc = "Root RNG seed; all task-level randomness is derived from it." in
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc)
 
-let with_network spec n f =
-  match parse_network spec ~n with
-  | Error (`Msg m) ->
+(* Run [f] on the parsed NETWORK: a parse error, or an [Error m] from
+   [f], is one stderr line and exit 1. *)
+let with_network_checked spec n f =
+  match Result.bind (Service.parse_named spec ~n) f with
+  | Ok () -> 0
+  | Error m ->
       prerr_endline m;
       1
-  | Ok g ->
-      f g;
-      0
+
+let with_network spec n f = with_network_checked spec n (fun g -> Ok (f g))
 
 (* build ------------------------------------------------------------- *)
 
@@ -166,7 +158,7 @@ let iso_cmd =
     Arg.(required & pos 1 (some string) None & info [] ~docv:"NETWORK2" ~doc)
   in
   let run spec1 spec2 n =
-    match (parse_network spec1 ~n, parse_network spec2 ~n) with
+    match (Service.parse_named spec1 ~n, Service.parse_named spec2 ~n) with
     | Ok g, Ok h -> (
         match Iso_min.find g h with
         | None ->
@@ -182,7 +174,7 @@ let iso_cmd =
                 print_newline ())
               m;
             0)
-    | Error (`Msg m), _ | _, Error (`Msg m) ->
+    | Error m, _ | _, Error m ->
         prerr_endline m;
         1
   in
@@ -349,17 +341,25 @@ let print_plan plan =
   done
 
 let route_pair_run spec n src dst =
-  with_network spec n (fun g ->
-      match Routing.route g ~input:src ~output:dst with
-      | None -> Printf.printf "no path from %d to %d\n" src dst
-      | Some p ->
-          Printf.printf "cells: %s\n"
-            (String.concat " -> "
-               (Array.to_list (Array.map string_of_int p.Routing.cells)));
-          Printf.printf "ports: %s\n"
-            (String.concat ""
-               (Array.to_list (Array.map string_of_int p.Routing.ports)));
-          Printf.printf "port word: %d\n" (Routing.port_word p))
+  with_network_checked spec n (fun g ->
+      let last = Mi_digraph.inputs g - 1 in
+      let outside t = t < 0 || t > last in
+      if outside src || outside dst then
+        Error
+          (Printf.sprintf "terminal out of range: %s at n=%d has terminals 0..%d" spec n last)
+      else
+        match Routing.route g ~input:src ~output:dst with
+        | exception Failure _ ->
+            Error (Printf.sprintf "%s is not Banyan: several paths from %d to %d" spec src dst)
+        | None -> Ok (Printf.printf "no path from %d to %d\n" src dst)
+        | Some p ->
+            Printf.printf "cells: %s\n"
+              (String.concat " -> "
+                 (Array.to_list (Array.map string_of_int p.Routing.cells)));
+            Printf.printf "ports: %s\n"
+              (String.concat ""
+                 (Array.to_list (Array.map string_of_int p.Routing.ports)));
+            Ok (Printf.printf "port word: %d\n" (Routing.port_word p)))
 
 let route_benes_perm n img =
   let router = Route.Loop.create n in
@@ -619,42 +619,47 @@ let simulate_cmd =
     Arg.(value & opt int 1 & info [ "reps" ] ~docv:"REPS" ~doc)
   in
   let run spec n rate cycles seed pattern reps jobs =
-    with_network spec n (fun g ->
-        let pattern =
-          match pattern with
-          | `Uniform -> Mineq_sim.Traffic.uniform
-          | `Bitrev -> Mineq_sim.Traffic.bit_reversal ~n
-          | `Transpose -> Mineq_sim.Traffic.transpose ~n
-        in
-        let config =
-          { Mineq_sim.Network_sim.default_config with injection_rate = rate; cycles; pattern }
-        in
-        Printf.printf "pattern:        %s\n" (Mineq_sim.Traffic.name pattern);
-        if reps <= 1 then begin
-          let s = Mineq_sim.Network_sim.run ~config (Engine.Seeds.state seed) g in
-          Printf.printf "offered:        %d\n" s.offered;
-          Printf.printf "injected:       %d\n" s.injected;
-          Printf.printf "delivered:      %d\n" s.delivered;
-          Printf.printf "refused:        %d\n" s.refused;
-          Printf.printf "dropped:        %d\n" s.dropped;
-          Printf.printf "throughput:     %.4f pkts/terminal/cycle\n"
-            (Mineq_sim.Network_sim.throughput s);
-          Printf.printf "mean latency:   %.2f cycles\n" (Mineq_sim.Network_sim.mean_latency s);
-          Printf.printf "max latency:    %d cycles\n" s.latency_max
-        end
+    with_network_checked spec n (fun g ->
+        if not (Banyan.is_banyan g) then
+          Error (Printf.sprintf "%s is not Banyan: packets need one path per pair" spec)
         else begin
-          let stats =
-            Engine.Batch.simulate_runs ~jobs ~root:seed ~config ~replications:reps g
+          let pattern =
+            match pattern with
+            | `Uniform -> Mineq_sim.Traffic.uniform
+            | `Bitrev -> Mineq_sim.Traffic.bit_reversal ~n
+            | `Transpose -> Mineq_sim.Traffic.transpose ~n
           in
-          let summary f = Mineq_sim.Summary.of_samples (List.map f stats) in
-          let pp = Format.asprintf "%a" Mineq_sim.Summary.pp in
-          Printf.printf "replications:   %d (jobs %d)\n" reps jobs;
-          Printf.printf "throughput:     %s pkts/terminal/cycle\n"
-            (pp (summary Mineq_sim.Network_sim.throughput));
-          Printf.printf "mean latency:   %s cycles\n"
-            (pp (summary Mineq_sim.Network_sim.mean_latency));
-          Printf.printf "max latency:    %d cycles\n"
-            (List.fold_left (fun acc s -> max acc s.Mineq_sim.Network_sim.latency_max) 0 stats)
+          let config =
+            { Mineq_sim.Network_sim.default_config with injection_rate = rate; cycles; pattern }
+          in
+          Printf.printf "pattern:        %s\n" (Mineq_sim.Traffic.name pattern);
+          if reps <= 1 then begin
+            let s = Mineq_sim.Network_sim.run ~config (Engine.Seeds.state seed) g in
+            Printf.printf "offered:        %d\n" s.offered;
+            Printf.printf "injected:       %d\n" s.injected;
+            Printf.printf "delivered:      %d\n" s.delivered;
+            Printf.printf "refused:        %d\n" s.refused;
+            Printf.printf "dropped:        %d\n" s.dropped;
+            Printf.printf "throughput:     %.4f pkts/terminal/cycle\n"
+              (Mineq_sim.Network_sim.throughput s);
+            Printf.printf "mean latency:   %.2f cycles\n" (Mineq_sim.Network_sim.mean_latency s);
+            Printf.printf "max latency:    %d cycles\n" s.latency_max
+          end
+          else begin
+            let stats =
+              Engine.Batch.simulate_runs ~jobs ~root:seed ~config ~replications:reps g
+            in
+            let summary f = Mineq_sim.Summary.of_samples (List.map f stats) in
+            let pp = Format.asprintf "%a" Mineq_sim.Summary.pp in
+            Printf.printf "replications:   %d (jobs %d)\n" reps jobs;
+            Printf.printf "throughput:     %s pkts/terminal/cycle\n"
+              (pp (summary Mineq_sim.Network_sim.throughput));
+            Printf.printf "mean latency:   %s cycles\n"
+              (pp (summary Mineq_sim.Network_sim.mean_latency));
+            Printf.printf "max latency:    %d cycles\n"
+              (List.fold_left (fun acc s -> max acc s.Mineq_sim.Network_sim.latency_max) 0 stats)
+          end;
+          Ok ()
         end)
   in
   Cmd.v
@@ -939,9 +944,9 @@ let lint_cmd =
         | Ok r -> print_report r
         | Error e -> parse_error e
     else
-      match parse_network target ~n with
+      match Service.parse_named target ~n with
       | Ok g -> if routes then print_route_report (RL.run g) else print_report (A.Lint.run g)
-      | Error (`Msg m) -> parse_error { Spec_io.line = None; reason = m }
+      | Error m -> parse_error { Spec_io.line = None; reason = m }
   in
   Cmd.v
     (Cmd.info "lint"
@@ -1095,7 +1100,7 @@ let rsurvey_cmd =
       (fun (name, g) ->
         Printf.printf "%-26s %-7b %-12b %-14b %-7b\n" name (Rn.is_banyan g)
           (Rn.by_independence g) (Rn.by_characterization g)
-          (Mineq_radix.Rrouting.is_delta g))
+          (Option.is_some (Routing.schedule (Rn.packed g))))
       (Mineq_radix.Rbuild.all_networks ~radix ~n);
     Printf.printf "all isomorphic to the radix-%d baseline: %b\n" radix
       (List.for_all

@@ -165,7 +165,7 @@ let pack_tables ~stages:n ~radix ~width ~child =
   done;
   { p_stages = n; p_width = width; p_radix = radix; p_per = per; p_child; p_succ; p_pred }
 
-let build_packed g =
+let pack g =
   pack_tables ~stages:(stages g) ~radix:2 ~width:g.width
     ~child:(fun ~gap ~port x ->
       let c = g.conns.(gap - 1) in
@@ -175,7 +175,7 @@ let packed g =
   match g.packed_cache with
   | Some p -> p
   | None ->
-      let p = build_packed g in
+      let p = pack g in
       (* Benign race under Domains: packing is deterministic, so
          concurrent builders store equal values and either wins. *)
       g.packed_cache <- Some p;

@@ -55,6 +55,11 @@ val packed : t -> packed
     independently).  Safe to call from parallel engine workers:
     packing is deterministic and idempotent. *)
 
+val pack : t -> packed
+(** The same compilation built afresh and not cached, for a one-off
+    consumer that should not keep the tables alive on a long-lived
+    record (a daemon keeps every parsed network resident). *)
+
 val fingerprint_cache : t -> (int * int) option
 (** The cached structural-fingerprint halves, if [Fingerprint] has
     already computed them for this record.  The slot lives on the

@@ -1,43 +1,23 @@
 module Perm = Mineq_perm.Perm
 
-(* In-port of the downstream cell for each (0-based gap, cell,
-   out-port): which of the child's two in-slots this link feeds
-   (same bookkeeping as the packet simulator). *)
-let downstream_ports g =
-  let n = Mi_digraph.stages g in
-  let per = Mi_digraph.nodes_per_stage g in
-  Array.init (n - 1) (fun gap0 ->
-      let c = Mi_digraph.connection g (gap0 + 1) in
-      let filled = Array.make per 0 in
-      let table = Array.make per [||] in
-      for x = 0 to per - 1 do
-        let cf, cg = Connection.children c x in
-        let take y =
-          let slot = filled.(y) in
-          filled.(y) <- slot + 1;
-          slot
-        in
-        let pf = take cf in
-        let pg = take cg in
-        table.(x) <- [| (cf, pf); (cg, pg) |]
-      done;
-      table)
-
 let permutation_of_setting g setting =
   let n = Mi_digraph.stages g in
   let per = Mi_digraph.nodes_per_stage g in
   if Array.length setting <> n || Array.exists (fun row -> Array.length row <> per) setting
   then invalid_arg "Realizable.permutation_of_setting: setting shape";
-  let down = downstream_ports g in
+  (* Packed.downstream: entry [2 * cell + out_port] of gap table [s]
+     is [(child lsl 1) lor in_port], the child's in-slot in predecessor
+     fill order. *)
+  let down = Packed.downstream (Mi_digraph.packed g) in
   let terminals = 2 * per in
   Perm.of_fun ~size:terminals (fun t ->
       let cell = ref (t / 2) and in_port = ref (t land 1) in
       for s = 0 to n - 1 do
         let out_port = if setting.(s).(!cell) then 1 - !in_port else !in_port in
         if s < n - 1 then begin
-          let y, slot = down.(s).(!cell).(out_port) in
-          cell := y;
-          in_port := slot
+          let hop = down.(s).((2 * !cell) + out_port) in
+          cell := hop lsr 1;
+          in_port := hop land 1
         end
         else begin
           cell := (2 * !cell) + out_port;

@@ -21,15 +21,19 @@ let to_string g =
   Buffer.add_string buf "mineq-spec 1\n";
   Buffer.add_string buf (Printf.sprintf "stages %d\n" n);
   for i = 1 to n - 1 do
+    let c = Mi_digraph.connection g i in
+    (* A theta line reloads with Pipid_net's ports, so it is written
+       only when those are the gap's own ([=] compares f and g port
+       for port); recognize_gap alone matches the split-blind
+       digraph. *)
     match Render.recognize_gap g i with
-    | Some theta ->
+    | Some theta when c = Pipid_net.connection ~n theta ->
         Buffer.add_string buf "gap theta";
         Array.iter
           (fun v -> Buffer.add_string buf (" " ^ string_of_int v))
           (Perm.to_array theta);
         Buffer.add_char buf '\n'
-    | None ->
-        let c = Mi_digraph.connection g i in
+    | Some _ | None ->
         Buffer.add_string buf "gap raw";
         for x = 0 to Connection.half c - 1 do
           Buffer.add_string buf (" " ^ string_of_int (Connection.f c x))

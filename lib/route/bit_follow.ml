@@ -22,15 +22,14 @@ let of_fabric fab ~schedule =
   in
   { fab; ctrl }
 
-let of_network g =
-  match Mineq.Routing.delta_schedule g with
-  | None -> None
-  | Some schedule -> Some (of_fabric (Fabric.of_network g) ~schedule)
+let of_packed p =
+  Option.map
+    (fun schedule -> of_fabric (Fabric.of_packed p) ~schedule)
+    (Mineq.Routing.schedule p)
 
-let of_rnetwork g =
-  match Mineq_radix.Rrouting.delta_schedule g with
-  | None -> None
-  | Some schedule -> Some (of_fabric (Fabric.of_rnetwork g) ~schedule)
+let of_network g = of_packed (Mineq.Mi_digraph.pack g)
+
+let of_rnetwork g = of_packed (Mineq_radix.Rnetwork.packed g)
 
 let fabric t = t.fab
 

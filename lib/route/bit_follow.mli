@@ -3,7 +3,7 @@
     On a delta network — every Baseline-equivalent network is one —
     the output terminal alone determines the port to take at each
     stage, independently of the input: the defining property of
-    {!Mineq.Routing.delta_schedule}.  A router tabulates that
+    {!Mineq.Routing.schedule}.  A router tabulates that
     schedule into a per-stage control table once; setting up a path
     is then a single forward walk claiming one {!Plan} assignment
     per stage.  No backtracking exists in this model: the first
@@ -32,15 +32,20 @@
 type t
 
 val of_network : Mineq.Mi_digraph.t -> t option
-(** [None] when the network is not delta (has no shared schedule). *)
+(** [None] when the network is not delta (has no shared schedule).
+    The schedule is {!Mineq.Routing.schedule} of a fresh
+    {!Mineq.Mi_digraph.pack} of the network and the fabric
+    {!Fabric.of_packed} of the same record, so nothing is cached on
+    [g]. *)
 
 val of_rnetwork : Mineq_radix.Rnetwork.t -> t option
-(** Radix-[r] variant, via {!Mineq_radix.Rrouting.delta_schedule}. *)
+(** Radix-[r] variant: the same construction on
+    {!Mineq_radix.Rnetwork.packed}. *)
 
 val of_fabric : Fabric.t -> schedule:int array -> t
 (** Build from an explicit port-word schedule — [schedule.(o)] is
     the base-[radix] word whose most significant digit is the stage-1
-    port toward output [o] (the {!Mineq.Routing.delta_schedule}
+    port toward output [o] (the {!Mineq.Routing.schedule}
     convention).  Raises [Invalid_argument] on size mismatch. *)
 
 val fabric : t -> Fabric.t

@@ -50,10 +50,16 @@ val handle : t -> Proto.request -> Proto.json
     becomes a [MINEQ-S007] internal-error response, so one bad
     request cannot crash a pool worker or the daemon. *)
 
+val parse_named : string -> n:int -> (Mineq.Mi_digraph.t, string) result
+(** The named-network grammar, shared with the CLI's NETWORK
+    argument: one of the six classical names, [random:SEED],
+    [pipid:SEED] or [buddy:SEED], built at [n] stages.  An unknown
+    name or a non-integer seed is a one-line message.  [n] must be at
+    least 2 ({!Proto.n_limit} bounds it from above). *)
+
 val network_of_spec : t -> spec:string -> n:int -> (Mineq.Mi_digraph.t, string) result
-(** Resolve a named-network specification (classical name,
-    [random:SEED], [pipid:SEED], [buddy:SEED]) against the resident
-    table, parsing and caching on first sight. *)
+(** {!parse_named} against the resident table, parsing and caching
+    on first sight. *)
 
 (** {1 Cache statistics and snapshots} *)
 

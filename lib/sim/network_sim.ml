@@ -39,35 +39,19 @@ let mean_latency s =
 
 type packet = { dst : int; word : int; born : int }
 
-(* Port words for every (source cell, destination terminal): the
-   packet's full routing decision string, stage-1 choice in the most
-   significant bit. *)
-let routing_words g =
-  let per = Mi_digraph.nodes_per_stage g in
-  Array.init per (fun cell ->
-      let paths = Routing.route_all_from g ~input:(2 * cell) in
-      Array.map
-        (function
-          | Some p -> Routing.port_word p
-          | None -> failwith "Network_sim: network is not Banyan (missing path)")
-        paths)
-
-(* Input-port index at the downstream cell for each (stage, cell,
-   out-port): which of the child's two FIFOs this link feeds.  Flat
-   packed tables (Packed.downstream): entry [r * cell + out_port]
-   encodes [child * r + in_port], which for this simulator's binary
-   networks (r = 2) is [(child lsl 1) lor in_port] — so the
-   per-packet hop in the cycle loop is two int reads and a shift, no
-   tuple boxing. *)
-let downstream_ports g = Mineq.Packed.downstream (Mi_digraph.packed g)
-
 let run ?(config = default_config) rng g =
   if config.buffer_capacity < 1 then invalid_arg "Network_sim.run: capacity must be >= 1";
   let n = Mi_digraph.stages g in
   let per = Mi_digraph.nodes_per_stage g in
   let terminals = Mi_digraph.inputs g in
-  let words = routing_words g in
-  let down = downstream_ports g in
+  (* words.(cell).(dst): the packet's routing decision string from its
+     source cell, stage-1 choice in the most significant bit (raises
+     Failure if not Banyan).  down: Packed.downstream's flat tables,
+     entry [2 * cell + out_port] = [(child lsl 1) lor in_port] — which
+     of the child's two FIFOs the link feeds — so a hop in the cycle
+     loop is two int reads and a shift, no tuple boxing. *)
+  let words = Routing.port_words (Mi_digraph.packed g) in
+  let down = Mineq.Packed.downstream (Mi_digraph.packed g) in
   (* queues.(s).(x).(p): FIFO of the p-th input of cell x at stage s. *)
   let queues = Array.init n (fun _ -> Array.init per (fun _ -> [| Queue.create (); Queue.create () |])) in
   let arbiter = Array.init n (fun _ -> Array.make per 0) in

@@ -162,19 +162,21 @@ let test_flip_reverses_omega () =
     (Rn.equal (Rb.flip ~radix:3 3) (Rn.reverse (Rb.omega ~radix:3 3)))
 
 let test_routing () =
+  let module R = Mineq.Routing in
   let g = Rb.omega ~radix:3 3 in
-  (* Route every pair; endpoints must attach correctly. *)
+  (* Route every pair through the packed walk; endpoints must attach
+     correctly. *)
   let terminals = Rn.terminals g in
   for input = 0 to terminals - 1 do
     for output = 0 to terminals - 1 do
-      match Mineq_radix.Rrouting.route g ~input ~output with
+      match R.walk (Rn.packed g) ~input ~output with
       | None -> Alcotest.fail "banyan routes every pair"
       | Some p ->
-          check_int "starts at input cell" (input / 3) p.Mineq_radix.Rrouting.cells.(0);
-          check_int "ends at output cell" (output / 3) p.Mineq_radix.Rrouting.cells.(2)
+          check_int "starts at input cell" (input / 3) p.R.cells.(0);
+          check_int "ends at output cell" (output / 3) p.R.cells.(2)
     done
   done;
-  check_true "radix omega is digit-directed" (Mineq_radix.Rrouting.is_delta g)
+  check_true "radix omega is digit-directed" (Option.is_some (R.schedule (Rn.packed g)))
 
 let test_routing_rejects_non_banyan () =
   let g =
@@ -183,10 +185,12 @@ let test_routing_rejects_non_banyan () =
         Rb.pipid_connection ~radix:3 ~n:3 (Mineq_perm.Pipid_family.perfect_shuffle ~width:3)
       ]
   in
-  match Mineq_radix.Rrouting.route g ~input:0 ~output:0 with
+  (match Mineq.Routing.walk (Rn.packed g) ~input:0 ~output:0 with
   | exception Failure _ -> ()
   | Some _ -> Alcotest.fail "multiple paths must be flagged"
-  | None -> Alcotest.fail "path exists (several, in fact)"
+  | None -> Alcotest.fail "path exists (several, in fact)");
+  check_true "and the network has no digit schedule"
+    (Option.is_none (Mineq.Routing.schedule (Rn.packed g)))
 
 let test_subgraph_and_reverse () =
   let g = Rb.baseline ~radix:3 3 in

@@ -216,19 +216,19 @@ let test_bit_follow_matches_routing () =
     done
   done
 
-let test_bit_follow_matches_rrouting () =
+let test_bit_follow_matches_radix_walk () =
   let g = Mineq_radix.Rbuild.omega ~radix:3 2 in
   let bf = Option.get (BF.of_rnetwork g) in
   let plan = Plan.create (BF.fabric bf) in
   for input = 0 to 8 do
     for output = 0 to 8 do
-      (match Mineq_radix.Rrouting.route g ~input ~output with
+      (match Mineq.Routing.walk (Mineq_radix.Rnetwork.packed g) ~input ~output with
       | None -> Alcotest.fail "radix omega routes every pair"
       | Some p ->
           Array.iteri
             (fun s port ->
               check_int "radix control digit" port (BF.control bf ~stage:s ~output))
-            p.Mineq_radix.Rrouting.ports);
+            p.Mineq.Routing.ports);
       Plan.reset plan;
       check_true "radix path routes" (BF.try_route bf plan ~input ~output);
       check_int "radix path delivers" output (Plan.propagate plan input)
@@ -417,7 +417,7 @@ let suite =
     quick "looping: bad inputs rejected" test_loop_rejects;
     quick "looping: partial images route" test_loop_partial;
     quick "bit_follow matches Routing.route" test_bit_follow_matches_routing;
-    quick "bit_follow matches Rrouting.route" test_bit_follow_matches_rrouting;
+    quick "bit_follow matches the radix walk" test_bit_follow_matches_radix_walk;
     quick "bit_follow reports the contested link" test_bit_follow_blocked;
     quick "non-delta networks have no router" test_non_delta_rejected;
     quick "planes recover a blocked pair" test_planes_recover_blocked_pair;

@@ -1,6 +1,8 @@
 open Helpers
 module R = Mineq.Routing
 module M = Mineq.Mi_digraph
+module O = Routing_oracle
+module BF = Mineq_route.Bit_follow
 
 let baseline = Mineq.Baseline.network
 
@@ -32,9 +34,11 @@ let test_route_follows_arcs () =
   done
 
 let test_route_all_from_consistent () =
+  (* The oracle's boxed enumeration against the packed single-pair
+     walk. *)
   let g = Mineq.Classical.network Flip ~n:4 in
   for input = 0 to 15 do
-    let all = R.route_all_from g ~input in
+    let all = O.route_all_from (O.of_network g) ~input in
     check_int "one path per output" 16 (Array.length all);
     Array.iteri
       (fun output p ->
@@ -81,13 +85,19 @@ let test_baseline_tag_is_destination_address () =
       done
 
 let test_destination_tag_table () =
+  (* The tag table is Bit_follow's control table: the oracle's table,
+     read off its paths, against the kernel-built router and path. *)
   let g = baseline 3 in
-  match R.destination_tag_table g with
+  let bf = Option.get (BF.of_network g) in
+  match O.destination_tag_table (O.of_network g) with
   | None -> Alcotest.fail "baseline has a tag table"
   | Some table ->
       check_int "one row per stage" 3 (Array.length table);
       for output = 0 to 7 do
-        (* Walk the table and confirm delivery. *)
+        for s = 0 to 2 do
+          check_int "control digit matches table" table.(s).(output)
+            (BF.control bf ~stage:s ~output)
+        done;
         match R.route g ~input:0 ~output with
         | None -> Alcotest.fail "route exists"
         | Some p ->
@@ -187,6 +197,82 @@ let test_bad_terminals () =
   Alcotest.check_raises "bad output" (Invalid_argument "Routing: bad output") (fun () ->
       ignore (R.route g ~input:0 ~output:(-1)))
 
+(* Kernel against oracle ----------------------------------------------- *)
+
+let outcome f = match f () with v -> Ok v | exception Failure _ -> Error ()
+
+(* On one network: the schedule, the per-cell words and every
+   single-pair path from a few inputs, [Failure] (several paths, not
+   Banyan) agreeing like any other answer. *)
+let kernel_agrees rng p net =
+  let inputs = List.init 3 (fun _ -> Random.State.int rng (O.terminals net)) in
+  R.schedule p = O.delta_schedule net
+  && outcome (fun () -> R.port_words p) = outcome (fun () -> O.port_words net)
+  && List.for_all
+       (fun input ->
+         List.for_all
+           (fun output ->
+             outcome (fun () -> R.walk p ~input ~output)
+             = outcome (fun () -> O.route net ~input ~output))
+           (List.init (O.terminals net) Fun.id))
+       inputs
+
+(* Bit_follow's control digits equal the oracle's tag table, and both
+   exist exactly when the network is delta. *)
+let control_agrees router net =
+  match (router, O.destination_tag_table net) with
+  | None, None -> true
+  | Some bf, Some table ->
+      Array.for_all Fun.id
+        (Array.mapi
+           (fun s row ->
+             Array.for_all Fun.id
+               (Array.mapi (fun output d -> BF.control bf ~stage:s ~output = d) row))
+           table)
+  | _ -> false
+
+(* Binary draws: a classical network or a seeded random / PIPID /
+   buddy / relabelled-Baseline one, optionally reversed, n = 2..7. *)
+let binary_draw =
+  QCheck.make
+    ~print:(fun (n, kind, seed, rev) ->
+      Printf.sprintf "n=%d kind=%d seed=%d reverse=%b" n kind seed rev)
+    QCheck.Gen.(quad (int_range 2 7) (int_bound 4) (int_bound 1_000_000) bool)
+
+let binary_network (n, kind, seed, rev) =
+  let rng = rng_of seed in
+  let g =
+    match kind with
+    | 0 ->
+        let nets = all_classical ~n in
+        snd (List.nth nets (seed mod List.length nets))
+    | 1 -> Mineq.Link_spec.random_network rng ~n
+    | 2 -> Mineq.Link_spec.random_pipid_network rng ~n
+    | 3 -> Mineq.Counterexample.random_buddy_network rng ~n
+    | _ -> Mineq.Counterexample.relabelled_equivalent rng (baseline n)
+  in
+  if rev then M.reverse g else g
+
+(* Radix draws at r = 3 and 4, n = 2..4: the classical inventory or a
+   seeded random / PIPID network, optionally reversed. *)
+let radix_draw =
+  QCheck.make
+    ~print:(fun (r, n, kind, seed) -> Printf.sprintf "r=%d n=%d kind=%d seed=%d" r n kind seed)
+    QCheck.Gen.(quad (int_range 3 4) (int_range 2 4) (int_bound 5) (int_bound 1_000_000))
+
+let radix_network (radix, n, kind, seed) =
+  let module Rb = Mineq_radix.Rbuild in
+  let rng = rng_of seed in
+  let g =
+    match kind / 2 with
+    | 0 ->
+        let nets = Rb.all_networks ~radix ~n in
+        snd (List.nth nets (seed mod List.length nets))
+    | 1 -> Rb.random_network rng ~radix ~n
+    | _ -> Rb.random_pipid_network rng ~radix ~n
+  in
+  if kind mod 2 = 1 then Mineq_radix.Rnetwork.reverse g else g
+
 let props =
   [ qcheck "every pair routes on Banyan PIPID networks" ~count:30 n_and_seed
       (fun (n, seed) ->
@@ -230,7 +316,25 @@ let props =
         let terminals = M.inputs g in
         let p = Mineq_perm.Perm.random rng terminals in
         let pairs = List.init terminals (fun i -> (i, Mineq_perm.Perm.apply p i)) in
-        (R.link_loads g pairs).paths_routed = terminals)
+        (R.link_loads g pairs).paths_routed = terminals);
+    qcheck "packed kernels equal the path oracle (binary)" ~count:200 binary_draw
+      (fun draw ->
+        let g = binary_network draw in
+        let _, _, seed, _ = draw in
+        kernel_agrees (rng_of seed) (M.packed g) (O.of_network g));
+    qcheck "packed kernels equal the path oracle (radix 3 and 4)" ~count:150 radix_draw
+      (fun draw ->
+        let g = radix_network draw in
+        let _, _, _, seed = draw in
+        kernel_agrees (rng_of seed) (Mineq_radix.Rnetwork.packed g) (O.of_rnetwork g));
+    qcheck "Bit_follow control equals the oracle's tag table (binary)" ~count:100 binary_draw
+      (fun draw ->
+        let g = binary_network draw in
+        control_agrees (BF.of_network g) (O.of_network g));
+    qcheck "Bit_follow control equals the oracle's tag table (radix)" ~count:100 radix_draw
+      (fun draw ->
+        let g = radix_network draw in
+        control_agrees (BF.of_rnetwork g) (O.of_rnetwork g))
   ]
 
 let suite =

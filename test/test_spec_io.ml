@@ -27,6 +27,20 @@ let test_round_trip_raw () =
   | Ok h -> check_true "raw round trips" (M.equal g h)
   | Error e -> Alcotest.fail (S.error_to_string e)
 
+let test_swapped_gap_keeps_ports () =
+  (* Omega's gap 2 with f and g exchanged is still the PIPID digraph,
+     but a theta line would reload it with Pipid_net's ports. *)
+  let omega = Mineq.Classical.network Omega ~n:4 in
+  let g = M.map_gaps omega (fun i c -> if i = 2 then Mineq.Connection.swap c else c) in
+  let text = S.to_string g in
+  check_true "swapped gap written raw" (contains ~needle:"gap raw" text);
+  match S.of_string text with
+  | Ok h ->
+      check_true "ports survive the round trip" (Mineq_engine.Memo.structural_equal g h);
+      check_true "and so do the port words"
+        (Mineq.Routing.delta_schedule g = Mineq.Routing.delta_schedule h)
+  | Error e -> Alcotest.fail (S.error_to_string e)
+
 let test_comments_and_blanks () =
   let text =
     "# a comment\nmineq-spec 1\n\nstages 3   # three stages\ngap theta 2 0 1\ngap theta 1 2 0\n"
@@ -95,12 +109,31 @@ let props =
         match S.of_string (S.to_string g) with Ok h -> M.equal g h | Error _ -> false);
     qcheck "round trip on random raw networks" ~count:20 n_and_seed (fun (n, seed) ->
         let g = Mineq.Link_spec.random_network (rng_of seed) ~n in
-        match S.of_string (S.to_string g) with Ok h -> M.equal g h | Error _ -> false)
+        match S.of_string (S.to_string g) with Ok h -> M.equal g h | Error _ -> false);
+    qcheck "round trip keeps every port (random gaps swapped)" ~count:100
+      (QCheck.make
+         ~print:(fun (n, kind, seed) -> Printf.sprintf "n=%d kind=%d seed=%d" n kind seed)
+         QCheck.Gen.(triple (int_range 2 6) (int_bound 2) (int_bound 1_000_000)))
+      (fun (n, kind, seed) ->
+        let rng = rng_of seed in
+        let g =
+          match kind with
+          | 0 -> Mineq.Link_spec.random_network rng ~n
+          | 1 -> Mineq.Link_spec.random_pipid_network rng ~n
+          | _ -> Mineq.Counterexample.random_buddy_network rng ~n
+        in
+        let g =
+          M.map_gaps g (fun _ c -> if Random.State.bool rng then Mineq.Connection.swap c else c)
+        in
+        match S.of_string (S.to_string g) with
+        | Ok h -> Mineq_engine.Memo.structural_equal g h
+        | Error _ -> false)
   ]
 
 let suite =
   [ quick "classical round trip" test_round_trip_classical;
     quick "raw round trip" test_round_trip_raw;
+    quick "a swapped PIPID gap keeps its ports" test_swapped_gap_keeps_ports;
     quick "comments and blanks" test_comments_and_blanks;
     quick "parse errors" test_parse_errors;
     quick "typed error line numbers" test_typed_error_lines;
