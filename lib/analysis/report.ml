@@ -20,23 +20,41 @@ let to_text (r : Lint.report) =
     r.findings;
   Buffer.contents buf
 
-(* Hand-rolled JSON, same style as the bench artifact writers. *)
+(* Hand-rolled JSON, same style as the bench artifact writers.  Every
+   JSON producer in the repository escapes through [add_json_string]:
+   runs of plain bytes are copied whole, and only the double quote,
+   the backslash and the control bytes are rewritten. *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+let hex_digits = "0123456789abcdef"
+
+let add_json_string buf s =
+  Buffer.add_char buf '"';
+  let len = String.length s in
+  let rec go start i =
+    if i = len then Buffer.add_substring buf s start (i - start)
+    else
+      match s.[i] with
+      | ('"' | '\\' | '\000' .. '\031') as c ->
+          Buffer.add_substring buf s start (i - start);
+          (match c with
+          | '"' -> Buffer.add_string buf "\\\""
+          | '\\' -> Buffer.add_string buf "\\\\"
+          | '\n' -> Buffer.add_string buf "\\n"
+          | '\t' -> Buffer.add_string buf "\\t"
+          | c ->
+              Buffer.add_string buf "\\u00";
+              Buffer.add_char buf hex_digits.[Char.code c lsr 4];
+              Buffer.add_char buf hex_digits.[Char.code c land 0xf]);
+          go (i + 1) (i + 1)
+      | _ -> go start (i + 1)
+  in
+  go 0 0;
+  Buffer.add_char buf '"'
+
+let json_string s =
+  let buf = Buffer.create (String.length s + 2) in
+  add_json_string buf s;
   Buffer.contents buf
-
-let json_string s = Printf.sprintf "\"%s\"" (json_escape s)
 
 let json_opt_string = function None -> "null" | Some s -> json_string s
 

@@ -34,8 +34,18 @@ val error_to_json : Mineq.Spec_io.error -> string
     [mineq-route-lint/1]) so findings render identically
     everywhere. *)
 
+val add_json_string : Buffer.t -> string -> unit
+(** Append a string to the buffer as a quoted JSON string literal.
+    The double quote and the backslash are backslash-escaped, newline
+    and tab become [\n] and [\t], every other byte below 0x20
+    becomes [\u00XX] in lowercase hex (carriage return is
+    [\u000d]), and all other bytes, DEL and non-ASCII included, are
+    copied as they are.  This is the one escaping rule of every JSON
+    producer here: {!json_string}, the lint reports and the [serve]
+    wire protocol. *)
+
 val json_string : string -> string
-(** Quote and escape a string as a JSON literal. *)
+(** {!add_json_string} into a fresh string. *)
 
 val finding_to_json : Diagnostics.finding -> string
 (** One finding as a JSON object — the element shape of every

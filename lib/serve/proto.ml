@@ -8,6 +8,9 @@ type json =
   | Str of string
   | Arr of json list
   | Obj of (string * json) list
+  | Raw of string
+
+let add_string = Mineq_analysis.Report.add_json_string
 
 let rec render buf = function
   | Null -> Buffer.add_string buf "null"
@@ -18,25 +21,37 @@ let rec render buf = function
       if Float.is_integer f && Float.abs f < 1e15 then
         Buffer.add_string buf (Printf.sprintf "%.1f" f)
       else Buffer.add_string buf (Printf.sprintf "%.17g" f)
-  | Str s -> Buffer.add_string buf (Mineq_analysis.Report.json_string s)
+  | Str s -> add_string buf s
   | Arr xs ->
       Buffer.add_char buf '[';
-      List.iteri
-        (fun i x ->
-          if i > 0 then Buffer.add_char buf ',';
-          render buf x)
-        xs;
+      render_items buf xs;
       Buffer.add_char buf ']'
   | Obj fields ->
       Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf (Mineq_analysis.Report.json_string k);
-          Buffer.add_char buf ':';
-          render buf v)
-        fields;
+      render_fields buf fields;
       Buffer.add_char buf '}'
+  | Raw text -> Buffer.add_string buf text
+
+and render_items buf = function
+  | [] -> ()
+  | [ x ] -> render buf x
+  | x :: rest ->
+      render buf x;
+      Buffer.add_char buf ',';
+      render_items buf rest
+
+and render_fields buf = function
+  | [] -> ()
+  | [ field ] -> render_field buf field
+  | field :: rest ->
+      render_field buf field;
+      Buffer.add_char buf ',';
+      render_fields buf rest
+
+and render_field buf (k, v) =
+  add_string buf k;
+  Buffer.add_char buf ':';
+  render buf v
 
 let json_to_string v =
   let buf = Buffer.create 256 in
@@ -106,11 +121,16 @@ let json_of_string s =
   let parse_string () =
     expect '"';
     let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
+    (* Runs of plain bytes are copied whole; only escapes are decoded
+       one at a time. *)
+    let rec go start =
+      if !pos >= n then fail "unterminated string";
+      match s.[!pos] with
+      | '"' ->
+          Buffer.add_substring buf s start (!pos - start);
+          advance ()
+      | '\\' -> (
+          Buffer.add_substring buf s start (!pos - start);
           advance ();
           match peek () with
           | None -> fail "unterminated escape"
@@ -127,13 +147,12 @@ let json_of_string s =
               | 't' -> Buffer.add_char buf '\t'
               | 'u' -> add_utf8 buf (hex4 ())
               | c -> fail "bad escape \\%C at offset %d" c !pos);
-              go ())
-      | Some c ->
+              go !pos)
+      | _ ->
           advance ();
-          Buffer.add_char buf c;
-          go ()
+          go start
     in
-    go ();
+    go !pos;
     Buffer.contents buf
   in
   let parse_number () =

@@ -61,15 +61,26 @@ type json =
   | Str of string
   | Arr of json list
   | Obj of (string * json) list
+  | Raw of string
+      (** Already-encoded JSON text, spliced into the output as it
+          is.  It must hold exactly one JSON value in compact form (as
+          {!json_to_string} writes it), with no raw newline: a
+          response is one line on the wire and to every client that
+          reads it line by line.  {!json_of_string} never produces
+          it; the service's lint cache stores its reports this way,
+          so a cache hit copies the encoded report instead of walking
+          a tree. *)
 
 val json_to_string : json -> string
-(** Compact rendering; strings escaped as in
-    {!Mineq_analysis.Report.json_string}. *)
+(** Compact rendering, written in one pass into one buffer; keys and
+    strings are escaped by {!Mineq_analysis.Report.add_json_string},
+    and {!Raw} text is copied verbatim. *)
 
 val json_of_string : string -> (json, string) result
 (** Recursive-descent parser for the full JSON grammar (objects,
     arrays, strings with escapes, numbers, booleans, null).  Numbers
-    without fraction or exponent parse as {!Int}. *)
+    without fraction or exponent parse as {!Int}.  The result never
+    contains {!Raw}. *)
 
 val member : string -> json -> json
 (** Field of an object, {!Null} when absent or not an object. *)
@@ -96,7 +107,8 @@ type frame_error =
 
 val frame : string -> string
 (** The on-wire bytes of one frame: 4-byte big-endian length prefix +
-    payload.  Raises [Invalid_argument] when the payload exceeds
+    payload — the client side's framing (the daemon writes the same
+    bytes straight into each connection's output buffer).  Raises [Invalid_argument] when the payload exceeds
     {!frame_payload_max} — a larger frame would silently truncate the
     header and desynchronize the stream. *)
 
@@ -159,7 +171,9 @@ type verdict = { equivalent : bool; banyan : bool; detail : string }
     labels). *)
 
 type lint_cached = { report : json; errors : int; warnings : int; infos : int }
-(** A structural lint report, pre-parsed for embedding. *)
+(** A structural lint report ready for embedding in a response: the
+    service stores it as {!Raw} compact text, encoded once when the
+    report is computed. *)
 
 type blocking_cached = { delta : bool; rows : (string * string) list }
 (** Affine blocking certificates per classical traffic class

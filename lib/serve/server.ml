@@ -31,22 +31,25 @@ let default_config ~socket_path =
 (* Connections -------------------------------------------------------
 
    Each connection owns a reassembly buffer: reads append raw bytes,
-   and complete frames (4-byte length known and satisfied) peel off
-   the front.  Frames are small (requests are one-line JSON), so the
-   copy-the-remainder splice is cheap and keeps the state machine
-   trivial.
+   and every complete frame (4-byte length known and satisfied) is
+   handed over by offset, after which the unconsumed tail is kept
+   once per read.
 
-   The outbound side mirrors it: client sockets are non-blocking, and
-   whatever the kernel will not take immediately parks in [out] and
-   drains through select's write set.  A peer that stops reading
-   therefore stalls only its own buffer — never the event loop — and
-   is closed once [out] passes [max_out_buf]. *)
+   The outbound side mirrors it: responses are framed straight into
+   [out], and each connection a batch answered is flushed once after
+   that batch, so pipelined answers leave in one write.  Client
+   sockets are non-blocking, and whatever the kernel will not take
+   immediately stays in [out] and drains through select's write set.
+   A peer that stops reading therefore stalls only its own buffer —
+   never the event loop — and is closed once [out] passes
+   [max_out_buf]. *)
 
 type conn = {
   fd : Unix.file_descr;
   buf : Buffer.t;  (* inbound frame reassembly *)
   out : Buffer.t;  (* outbound bytes the kernel has not yet accepted *)
   mutable alive : bool;
+  mutable touched : bool;  (* answered since the last flush pass *)
 }
 
 type pending = { conn : conn; req : Proto.request; arrival : float }
@@ -60,16 +63,30 @@ let close_conn conns c =
     try Unix.close c.fd with Unix.Unix_error _ -> ()
   end
 
-(* Push as much of [c.out] as the socket will take without blocking. *)
-let flush_out conns c =
-  if c.alive && Buffer.length c.out > 0 then begin
-    let s = Buffer.contents c.out in
-    let len = String.length s in
+(* Drop the first [k] bytes of [buf], keeping the rest. *)
+let drop_front buf k =
+  let len = Buffer.length buf in
+  if k = len then Buffer.clear buf
+  else if k > 0 then begin
+    let rest = Buffer.sub buf k (len - k) in
+    Buffer.clear buf;
+    Buffer.add_string buf rest
+  end
+
+(* Push as much of [c.out] as the socket will take without blocking.
+   [Unix.write] wants bytes, so [out] is staged through [staging] (the
+   loop's one staging area) rather than copied into a fresh string per
+   flush. *)
+let flush_out conns staging c =
+  let len = Buffer.length c.out in
+  if c.alive && len > 0 then begin
     let off = ref 0 in
     let blocked = ref false in
     (try
        while (not !blocked) && !off < len do
-         match Unix.write_substring c.fd s !off (len - !off) with
+         let chunk = min (len - !off) (Bytes.length staging) in
+         Buffer.blit c.out !off staging 0 chunk;
+         match Unix.write c.fd staging 0 chunk with
          | 0 -> blocked := true
          | written -> off := !off + written
          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
@@ -77,44 +94,36 @@ let flush_out conns c =
          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
        done
      with Unix.Unix_error _ -> close_conn conns c);
-    if c.alive then begin
-      Buffer.clear c.out;
-      if !off < len then Buffer.add_substring c.out s !off (len - !off)
-    end
+    if c.alive then drop_front c.out !off
   end
 
-let send ~max_out_buf conns c payload =
-  if c.alive then
-    match Proto.frame payload with
-    | exception Invalid_argument _ ->
-        (* A response beyond the 4-byte length header cannot be
-           framed; hang up rather than desynchronize the stream. *)
-        close_conn conns c
-    | bytes ->
-        Buffer.add_string c.out bytes;
-        flush_out conns c;
-        (* Slow-reader shed: a peer that keeps requesting but never
-           reads cannot pin unbounded response bytes in the server. *)
-        if c.alive && Buffer.length c.out > max_out_buf then close_conn conns c
-
-(* [Some (payload)] when a complete frame heads the buffer;
-   [Error len] when the declared length exceeds the limit. *)
-let peel_frame ~max_frame buf =
+(* Hand each complete frame at the front of [buf] to [f], reading the
+   lengths in place, then keep the unconsumed tail.  [Error len] when
+   a declared length exceeds [max_frame]; the frames before it have
+   been handed over. *)
+let peel_frames ~max_frame buf f =
   let have = Buffer.length buf in
-  if have < 4 then Ok None
-  else begin
-    let b i = Char.code (Buffer.nth buf i) in
-    let len = (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3 in
-    if len > max_frame then Error len
-    else if have < 4 + len then Ok None
+  let byte i = Char.code (Buffer.nth buf i) in
+  let rec go off =
+    if have - off < 4 then Ok off
     else begin
-      let payload = Buffer.sub buf 4 len in
-      let rest = Buffer.sub buf (4 + len) (have - 4 - len) in
-      Buffer.clear buf;
-      Buffer.add_string buf rest;
-      Ok (Some payload)
+      let len =
+        (byte off lsl 24) lor (byte (off + 1) lsl 16) lor (byte (off + 2) lsl 8)
+        lor byte (off + 3)
+      in
+      if len > max_frame then Error len
+      else if have - off - 4 < len then Ok off
+      else begin
+        f (Buffer.sub buf (off + 4) len);
+        go (off + 4 + len)
+      end
     end
-  end
+  in
+  match go 0 with
+  | Error _ as e -> e
+  | Ok off ->
+      drop_front buf off;
+      Ok ()
 
 (* The event loop ----------------------------------------------------- *)
 
@@ -154,9 +163,45 @@ let run ?(on_ready = fun () -> ()) config service =
   let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 16 in
   let queue : pending Queue.t = Queue.create () in
   let read_buf = Bytes.create 65536 in
+  let write_buf = Bytes.create 65536 in
+  let touched = ref [] in
 
-  let send c payload = send ~max_out_buf:config.max_out_buf conns c payload in
+  (* Push what the kernel takes, then close: the stream cannot carry
+     anything after this. *)
+  let hang_up c =
+    flush_out conns write_buf c;
+    close_conn conns c
+  in
+  let send c payload =
+    if c.alive then begin
+      let len = String.length payload in
+      if len > Proto.frame_payload_max then
+        (* A response beyond the 4-byte length header cannot be
+           framed; hang up rather than desynchronize the stream. *)
+        hang_up c
+      else begin
+        Buffer.add_int32_be c.out (Int32.of_int len);
+        Buffer.add_string c.out payload;
+        if not c.touched then begin
+          c.touched <- true;
+          touched := c :: !touched
+        end
+      end
+    end
+  in
   let send_json c v = send c (Proto.json_to_string v) in
+  (* One write per answered connection, in place of one per response. *)
+  let flush_touched () =
+    List.iter
+      (fun c ->
+        c.touched <- false;
+        flush_out conns write_buf c;
+        (* Slow-reader shed: a peer that keeps requesting but never
+           reads cannot pin unbounded response bytes in the server. *)
+        if c.alive && Buffer.length c.out > config.max_out_buf then close_conn conns c)
+      !touched;
+    touched := []
+  in
 
   let cache_total () =
     let e, l, b = Service.cache_sizes service in
@@ -216,24 +261,17 @@ let run ?(on_ready = fun () -> ()) config service =
   in
 
   let drain_frames c =
-    let rec go () =
-      if c.alive then
-        match peel_frame ~max_frame:config.max_frame c.buf with
-        | Ok None -> ()
-        | Ok (Some payload) ->
-            on_frame c payload;
-            go ()
-        | Error len ->
-            (* The stream can no longer be framed: answer and close. *)
-            Metrics.incr_error metrics;
-            send_json c
-              (Proto.error_response ~id:Proto.Null ~code:"MINEQ-S006"
-                 ~message:
-                   (Printf.sprintf "frame of %d bytes exceeds the %d-byte limit" len
-                      config.max_frame));
-            close_conn conns c
-    in
-    go ()
+    match peel_frames ~max_frame:config.max_frame c.buf (on_frame c) with
+    | Ok () -> ()
+    | Error len ->
+        (* The stream can no longer be framed: answer and close. *)
+        Metrics.incr_error metrics;
+        send_json c
+          (Proto.error_response ~id:Proto.Null ~code:"MINEQ-S006"
+             ~message:
+               (Printf.sprintf "frame of %d bytes exceeds the %d-byte limit" len
+                  config.max_frame));
+        hang_up c
   in
 
   let on_readable c =
@@ -285,7 +323,8 @@ let run ?(on_ready = fun () -> ()) config service =
           else
             Metrics.record metrics ~op:r.p.req.Proto.op
               ~us:((finish -. r.p.arrival) *. 1e6))
-        results
+        results;
+      flush_touched ()
     done
   in
 
@@ -310,7 +349,7 @@ let run ?(on_ready = fun () -> ()) config service =
         List.iter
           (fun fd ->
             match Hashtbl.find_opt conns fd with
-            | Some c -> flush_out conns c
+            | Some c -> flush_out conns write_buf c
             | None -> ())
           ready_w;
         List.iter
@@ -321,7 +360,7 @@ let run ?(on_ready = fun () -> ()) config service =
                   Unix.set_nonblock client;
                   Hashtbl.replace conns client
                     { fd = client; buf = Buffer.create 256; out = Buffer.create 256;
-                      alive = true
+                      alive = true; touched = false
                     }
               | exception Unix.Unix_error _ -> ()
             end
@@ -331,6 +370,8 @@ let run ?(on_ready = fun () -> ()) config service =
               | None -> ())
           ready_r);
     dispatch ();
+    (* Early answers (S001, S005, shutdown) of a tick no batch ran in. *)
+    flush_touched ();
     if now () -. !last_save >= config.snapshot_every_s then begin
       save_snapshot ~reason:"write-behind";
       last_save := now ()
@@ -354,7 +395,7 @@ let run ?(on_ready = fun () -> ()) config service =
           List.iter
             (fun fd ->
               match Hashtbl.find_opt conns fd with
-              | Some c -> flush_out conns c
+              | Some c -> flush_out conns write_buf c
               | None -> ())
             writable);
       drain_outbound ()

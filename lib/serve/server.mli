@@ -5,7 +5,11 @@
     queue — bounded — and drain in batches through the work-stealing
     {!Mineq_engine.Pool}, so a burst of probes from many connections
     is evaluated across every core while framing stays single-
-    threaded and allocation-light.
+    threaded and allocation-light.  Responses are framed straight
+    into their connection's output buffer, and each connection a batch
+    answered is flushed once after that batch: a client that
+    pipelines requests gets their answers, in request order, in one
+    write rather than one write per response.
 
     {b Overload: shed, not stall.}  When the pending queue holds
     [queue_cap] requests, further admissions are answered immediately

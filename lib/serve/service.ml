@@ -119,15 +119,18 @@ let verdict_of g : Proto.verdict =
 
 let cached_verdict t g = Memo.find_or_compute t.equiv g verdict_of
 
+(* The report is encoded once, here: [Report.to_json]'s pretty text
+   parsed and rendered compactly, the bytes a parsed tree in the
+   response would render to.  Every hit then splices them. *)
 let lint_of g : Proto.lint_cached =
   let module A = Mineq_analysis in
   let report = A.Lint.run g in
-  let parsed =
+  let encoded =
     match Proto.json_of_string (A.Report.to_json report) with
-    | Ok v -> v
+    | Ok v -> Proto.Raw (Proto.json_to_string v)
     | Error _ -> Proto.Null (* unreachable: Report emits valid JSON *)
   in
-  { report = parsed; errors = A.Lint.errors report; warnings = A.Lint.warnings report;
+  { report = encoded; errors = A.Lint.errors report; warnings = A.Lint.warnings report;
     infos = A.Lint.infos report
   }
 

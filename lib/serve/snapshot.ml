@@ -17,8 +17,11 @@ let magic = "MINEQSNAP"
    fingerprint ([Fkey]) ones, the structural hash orders each cell's
    two ports, and [Mi_digraph.t] gained its structural-hash slot — a
    version-1 payload unmarshalled into the new record layout would
-   read past the end of each network block. *)
-let version = 2
+   read past the end of each network block.
+   3: lint entries hold their report as [Proto.Raw] text.  An older
+   binary's [Proto.json] has no such constructor: unmarshalled there,
+   its block tag matches no case of the renderer. *)
+let version = 3
 
 type error =
   | Missing

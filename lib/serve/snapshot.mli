@@ -14,7 +14,9 @@
     plain data (networks are int-array records with their cache slots,
     fingerprints are two ints), so [Marshal] round-trips it without
     closures.  Since version 2 every cache, [equiv] included, exports
-    structural ([Skey]) entries.  Writes go to
+    structural ([Skey]) entries.  Since version 3 a lint entry's
+    report is {!Proto.Raw} compact text, which a version-2 binary
+    cannot render, so neither reads the other's files.  Writes go to
     [path ^ ".tmp"] and rename into place, so a crash mid-write leaves
     the previous snapshot intact: write-behind is durable at the
     granularity of the last completed save.

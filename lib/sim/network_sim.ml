@@ -46,12 +46,19 @@ let run ?(config = default_config) rng g =
   let terminals = Mi_digraph.inputs g in
   (* words.(cell).(dst): the packet's routing decision string from its
      source cell, stage-1 choice in the most significant bit (raises
-     Failure if not Banyan).  down: Packed.downstream's flat tables,
+     Failure if not Banyan).  On a delta network every cell shares the
+     schedule's one row, so the table is 2^n words instead of one row
+     per cell (2^(2n-1)).  down: Packed.downstream's flat tables,
      entry [2 * cell + out_port] = [(child lsl 1) lor in_port] — which
      of the child's two FIFOs the link feeds — so a hop in the cycle
      loop is two int reads and a shift, no tuple boxing. *)
-  let words = Routing.port_words (Mi_digraph.packed g) in
-  let down = Mineq.Packed.downstream (Mi_digraph.packed g) in
+  let packed = Mi_digraph.packed g in
+  let words =
+    match Routing.schedule packed with
+    | Some row -> Array.make per row
+    | None -> Routing.port_words packed
+  in
+  let down = Mineq.Packed.downstream packed in
   (* queues.(s).(x).(p): FIFO of the p-th input of cell x at stage s. *)
   let queues = Array.init n (fun _ -> Array.init per (fun _ -> [| Queue.create (); Queue.create () |])) in
   let arbiter = Array.init n (fun _ -> Array.make per 0) in

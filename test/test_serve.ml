@@ -64,6 +64,20 @@ let test_json_parse () =
         (match Proto.json_of_string s with Error _ -> true | Ok _ -> false))
     [ ""; "{"; "[1,"; "tru"; "{\"k\":}"; "\"unterminated"; "1 2"; "{'k':1}" ]
 
+(* Bytes a key or string can hold: mostly printable, plus every byte
+   the escaper rewrites (quote, backslash, all of 0x00-0x1f, so
+   newline, tab, carriage return and the \uXXXX forms) and bytes it
+   must copy as they are (DEL, non-ASCII). *)
+let wire_char =
+  QCheck.Gen.(
+    frequency
+      [ (6, printable);
+        (2, oneofl [ '"'; '\\' ]);
+        (2, map Char.chr (int_range 0x00 0x1f));
+        (1, return '\x7f');
+        (2, map Char.chr (int_range 0x80 0xff))
+      ])
+
 let json_gen =
   let open QCheck.Gen in
   let scalar =
@@ -72,7 +86,7 @@ let json_gen =
         map (fun b -> Proto.Bool b) bool;
         map (fun i -> Proto.Int i) (int_range (-1000000) 1000000);
         map (fun f -> Proto.Float f) (float_range (-1e6) 1e6);
-        map (fun s -> Proto.Str s) (string_size ~gen:printable (int_bound 12))
+        map (fun s -> Proto.Str s) (string_size ~gen:wire_char (int_bound 12))
       ]
   in
   let rec tree depth =
@@ -85,13 +99,35 @@ let json_gen =
             map
               (fun kvs -> Proto.Obj kvs)
               (list_size (int_bound 4)
-                 (pair (string_size ~gen:printable (int_bound 6)) (tree (depth - 1)))) )
+                 (pair (string_size ~gen:wire_char (int_bound 6)) (tree (depth - 1)))) )
         ]
   in
-  QCheck.make ~print:Proto.json_to_string (tree 3)
+  QCheck.make ~print:Json_oracle.to_string (tree 3)
+
+(* [t] spliced as [Raw] text between two ordinary fields. *)
+let raw_splice_reparses t =
+  let holding x = Proto.Obj [ ("before", Proto.Int 1); ("raw", x); ("after", Proto.Str "\n") ] in
+  match Proto.json_of_string (Proto.json_to_string (holding (Proto.Raw (Proto.json_to_string t)))) with
+  | Ok v -> json_equal v (holding t)
+  | Error _ -> false
 
 let proto_props =
-  [ qcheck "printer and parser are inverse" ~count:200 json_gen roundtrips ]
+  [ qcheck "printer and parser are inverse" ~count:200 json_gen roundtrips;
+    qcheck "encoder equals the reference renderer byte for byte" ~count:300 json_gen (fun t ->
+        String.equal (Proto.json_to_string t) (Json_oracle.to_string t));
+    qcheck "a Raw splice re-parses to the tree it encodes" ~count:200 json_gen
+      raw_splice_reparses
+  ]
+
+let test_escaper_bytes () =
+  let every_byte = String.init 256 Char.chr in
+  Alcotest.(check string)
+    "every byte escapes as the reference does"
+    (Json_oracle.json_string every_byte)
+    (Mineq_analysis.Report.json_string every_byte);
+  Alcotest.(check string)
+    "carriage return stays \\u000d" {|"a\u000db"|}
+    (Mineq_analysis.Report.json_string "a\rb")
 
 let test_frames () =
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -144,6 +180,7 @@ let test_request_n_bounds () =
 let proto_suite =
   [ quick "json round trip" test_json_roundtrip;
     quick "json parse cases" test_json_parse;
+    quick "string escaper on every byte" test_escaper_bytes;
     quick "frame round trip and oversize" test_frames;
     quick "request codec" test_request_codec;
     quick "request n bounds" test_request_n_bounds
@@ -366,12 +403,14 @@ let test_service_port_swap () =
   check_true "the port-swapped copy does not"
     (json_equal (delta (Service.handle s (request "blocking" ~spec))) (Proto.Bool false));
   ignore (Service.handle s (request "lint" ~network:"omega"));
-  check_true "the copy's lint report is its own"
-    (json_equal
-       (Proto.member "report" (Service.handle s (request "lint" ~spec)))
-       (match Proto.json_of_string (Mineq_analysis.Report.to_json (Mineq_analysis.Lint.run parsed)) with
-       | Ok v -> v
-       | Error m -> Alcotest.fail m))
+  (* The cached report is encoded text ([Proto.Raw]), so the two sides
+     are compared as the bytes they put on the wire. *)
+  Alcotest.(check string)
+    "the copy's lint report is its own"
+    (match Proto.json_of_string (Mineq_analysis.Report.to_json (Mineq_analysis.Lint.run parsed)) with
+    | Ok v -> Proto.json_to_string v
+    | Error m -> Alcotest.fail m)
+    (Proto.json_to_string (Proto.member "report" (Service.handle s (request "lint" ~spec))))
 
 (* A non-Banyan network and a relabelled copy whose [detail] strings
    differ: the violation names stage labels. *)
@@ -594,6 +633,45 @@ let test_server_session () =
             (op a = Some "banyan" && op b = Some "lint")
       | _ -> Alcotest.fail "pipelined frames lost"))
 
+(* Frames sent back to back in one write are answered in request
+   order, each with exactly the bytes the service's encoder gives it,
+   also when a write ends partway through a frame's length header. *)
+let test_server_pipelined_batch () =
+  let mix =
+    [| ("equiv", Some "omega"); ("banyan", Some "flip"); ("lint", Some "baseline");
+       ("ping", None); ("blocking", Some "omega"); ("lint", Some "random:5");
+       ("equiv", Some "pipid:3")
+    |]
+  in
+  let requests =
+    Array.init 64 (fun i ->
+        let op, network = mix.(i mod Array.length mix) in
+        { (request op ~id:(Proto.Int i)) with network })
+  in
+  let local = Service.create () in
+  let expected = Array.map (fun r -> Proto.json_to_string (Service.handle local r)) requests in
+  let frame r = Proto.frame (Proto.json_to_string (Proto.request_to_json r)) in
+  let wire = String.concat "" (Array.to_list (Array.map frame requests)) in
+  with_server (fun _path fd ->
+      let send s = ignore (Unix.write_substring fd s 0 (String.length s)) in
+      let read_all round =
+        Array.iteri
+          (fun i want ->
+            match Proto.read_frame fd with
+            | Ok got -> Alcotest.(check string) (Printf.sprintf "%s: response %d" round i) want got
+            | Error _ -> Alcotest.failf "%s: response %d lost" round i)
+          expected
+      in
+      send wire;
+      read_all "one write";
+      (* Two bytes into the third frame's header: the first read ends
+         on an incomplete frame, whose tail must be kept. *)
+      let cut = String.length (frame requests.(0)) + String.length (frame requests.(1)) + 2 in
+      send (String.sub wire 0 cut);
+      Unix.sleepf 0.05;
+      send (String.sub wire cut (String.length wire - cut));
+      read_all "split write")
+
 let test_server_malformed () =
   with_server (fun _path fd ->
       Proto.write_frame fd "{\"op\": ";
@@ -674,27 +752,32 @@ let test_server_snapshot_restart () =
 
 let test_server_stale_snapshot () =
   (* Version 1 predates the structural equiv keys and the network
-     record's hash slot: unmarshalling it into today's layout would be
-     memory-unsafe, so it must be refused unread and the daemon must
-     boot cold, saying why. *)
-  let snap = Filename.temp_file "mineq_test" ".snap" in
-  Snapshot.save ~path:snap ~version:1 (Service.to_payload (warmed_service ()));
-  check_true "a version-1 file is Stale_version 1"
-    (match Snapshot.load ~path:snap with
-    | Error (Snapshot.Stale_version 1) -> true
-    | Ok _ | Error _ -> false);
-  let configure (c : Server.config) =
-    { c with snapshot_path = Some snap; snapshot_every_s = 3600.0 }
-  in
-  with_server ~configure (fun _path fd ->
-      let stats = call_exn fd (Proto.Obj [ ("op", Proto.Str "stats") ]) in
-      check_true "the boot note names the stale version"
-        (Proto.to_string_opt (Proto.member "snapshot" stats)
-        = Some ("load failed: " ^ Snapshot.error_to_string (Snapshot.Stale_version 1)));
-      let equiv = Proto.member "equiv" (Proto.member "caches" stats) in
-      check_true "the equiv cache boots empty"
-        (json_equal (Proto.member "size" equiv) (Proto.Int 0)));
-  if Sys.file_exists snap then Sys.remove snap
+     record's hash slot; version 2 lint entries hold parsed trees where
+     version 3 holds [Proto.Raw] text.  Either file must be refused
+     unread (unmarshalling it would be memory-unsafe or misread), and
+     the daemon must boot cold, saying why. *)
+  List.iter
+    (fun stale ->
+      let snap = Filename.temp_file "mineq_test" ".snap" in
+      Snapshot.save ~path:snap ~version:stale (Service.to_payload (warmed_service ()));
+      check_true
+        (Printf.sprintf "a version-%d file is Stale_version %d" stale stale)
+        (match Snapshot.load ~path:snap with
+        | Error (Snapshot.Stale_version v) -> v = stale
+        | Ok _ | Error _ -> false);
+      let configure (c : Server.config) =
+        { c with snapshot_path = Some snap; snapshot_every_s = 3600.0 }
+      in
+      with_server ~configure (fun _path fd ->
+          let stats = call_exn fd (Proto.Obj [ ("op", Proto.Str "stats") ]) in
+          check_true "the boot note names the stale version"
+            (Proto.to_string_opt (Proto.member "snapshot" stats)
+            = Some ("load failed: " ^ Snapshot.error_to_string (Snapshot.Stale_version stale)));
+          let equiv = Proto.member "equiv" (Proto.member "caches" stats) in
+          check_true "the equiv cache boots empty"
+            (json_equal (Proto.member "size" equiv) (Proto.Int 0)));
+      if Sys.file_exists snap then Sys.remove snap)
+    [ 1; 2 ]
 
 let test_server_bad_n () =
   with_server (fun _path fd ->
@@ -782,6 +865,7 @@ let test_server_conn_cap () =
 
 let server_suite =
   [ quick "scripted session" test_server_session;
+    quick "64 pipelined requests in one write" test_server_pipelined_batch;
     quick "malformed frames" test_server_malformed;
     quick "oversized frame closes" test_server_oversized;
     quick "expired deadline" test_server_deadline;
