@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check that two commits put the same serve responses on the wire.
 
-    python3 bench/wire/compare.py BASE [--seeds 1,2] [--work DIR]
+    python3 bench/wire/compare.py BASE [--work DIR]
 
 Run from anywhere inside a mineq checkout.  BASE is a git revision:
 the script extracts it with `git archive`, copies this directory
@@ -9,7 +9,7 @@ the script extracts it with `git archive`, copies this directory
 trees and runs both over the same inputs:
 
   - perfbench's serve_hot inputs (priming pass, closed and open phases)
-    and serve_cold inputs (closed and open phases) at each seed, with
+    and serve_cold inputs (closed and open phases) at seeds 1 and 2, with
     the op mixes and phase sizes of perfbench/workloads.json;
   - wire_dump's error-path set (MINEQ-S001/S002/S003/S007 and ids that
     hold control characters and non-ASCII bytes).
@@ -58,7 +58,6 @@ def first_difference(a, b):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("base", help="git revision to compare against")
-    ap.add_argument("--seeds", default="1,2", help="comma-separated workload seeds")
     ap.add_argument("--work", help="working directory (default: a fresh temporary one)")
     args = ap.parse_args()
 
@@ -74,7 +73,7 @@ def main():
     with open(os.path.join(ROOT, "perfbench", "workloads.json")) as fh:
         workloads = json.load(fh)["workloads"]
     inputs = []
-    for seed in args.seeds.split(","):
+    for seed in ("1", "2"):
         for name in ("serve_hot", "serve_cold"):
             cfg = workloads[name]
             mix = ",".join(f"{label}={share}" for label, share in cfg["op_mix"].items())

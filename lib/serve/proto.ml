@@ -24,34 +24,23 @@ let rec render buf = function
   | Str s -> add_string buf s
   | Arr xs ->
       Buffer.add_char buf '[';
-      render_items buf xs;
+      List.iteri
+        (fun i x ->
+          if i > 0 then Buffer.add_char buf ',';
+          render buf x)
+        xs;
       Buffer.add_char buf ']'
   | Obj fields ->
       Buffer.add_char buf '{';
-      render_fields buf fields;
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_char buf ',';
+          add_string buf k;
+          Buffer.add_char buf ':';
+          render buf v)
+        fields;
       Buffer.add_char buf '}'
   | Raw text -> Buffer.add_string buf text
-
-and render_items buf = function
-  | [] -> ()
-  | [ x ] -> render buf x
-  | x :: rest ->
-      render buf x;
-      Buffer.add_char buf ',';
-      render_items buf rest
-
-and render_fields buf = function
-  | [] -> ()
-  | [ field ] -> render_field buf field
-  | field :: rest ->
-      render_field buf field;
-      Buffer.add_char buf ',';
-      render_fields buf rest
-
-and render_field buf (k, v) =
-  add_string buf k;
-  Buffer.add_char buf ':';
-  render buf v
 
 let json_to_string v =
   let buf = Buffer.create 256 in
@@ -283,19 +272,19 @@ let rec write_all fd buf off len =
     write_all fd buf (off + written) (len - written)
   end
 
-let frame payload =
+let add_frame buf payload =
   let len = String.length payload in
   if len > frame_payload_max then
     invalid_arg
-      (Printf.sprintf "Proto.frame: %d-byte payload does not fit the 4-byte length header"
-         len);
-  let buf = Bytes.create (4 + len) in
-  Bytes.set buf 0 (Char.chr ((len lsr 24) land 0xff));
-  Bytes.set buf 1 (Char.chr ((len lsr 16) land 0xff));
-  Bytes.set buf 2 (Char.chr ((len lsr 8) land 0xff));
-  Bytes.set buf 3 (Char.chr (len land 0xff));
-  Bytes.blit_string payload 0 buf 4 len;
-  Bytes.unsafe_to_string buf
+      (Printf.sprintf
+         "Proto.add_frame: %d-byte payload does not fit the 4-byte length header" len);
+  Buffer.add_int32_be buf (Int32.of_int len);
+  Buffer.add_string buf payload
+
+let frame payload =
+  let buf = Buffer.create (4 + String.length payload) in
+  add_frame buf payload;
+  Buffer.contents buf
 
 let write_frame fd payload =
   let b = Bytes.unsafe_of_string (frame payload) in

@@ -105,12 +105,18 @@ type frame_error =
   | Closed  (** EOF before a full frame *)
   | Oversized of int  (** declared length exceeded the limit *)
 
-val frame : string -> string
-(** The on-wire bytes of one frame: 4-byte big-endian length prefix +
-    payload — the client side's framing (the daemon writes the same
-    bytes straight into each connection's output buffer).  Raises [Invalid_argument] when the payload exceeds
+val add_frame : Buffer.t -> string -> unit
+(** Append one frame to the buffer: 4-byte big-endian length prefix +
+    payload (the daemon frames each response straight into its
+    connection's output buffer).  Raises [Invalid_argument], leaving
+    the buffer untouched, when the payload exceeds
     {!frame_payload_max} — a larger frame would silently truncate the
     header and desynchronize the stream. *)
+
+val frame : string -> string
+(** The on-wire bytes of one frame, as {!add_frame} writes them — the
+    client side's framing.  Raises [Invalid_argument] as {!add_frame}
+    does. *)
 
 val write_frame : Unix.file_descr -> string -> unit
 (** [frame] written out, handling short writes.  Raises

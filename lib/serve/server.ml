@@ -41,8 +41,8 @@ let default_config ~socket_path =
    sockets are non-blocking, and whatever the kernel will not take
    immediately stays in [out] and drains through select's write set.
    A peer that stops reading therefore stalls only its own buffer —
-   never the event loop — and is closed once [out] passes
-   [max_out_buf]. *)
+   never the event loop — and is closed as soon as a response takes
+   [out] past [max_out_buf] and a flush cannot bring it back under. *)
 
 type conn = {
   fd : Unix.file_descr;
@@ -73,20 +73,16 @@ let drop_front buf k =
     Buffer.add_string buf rest
   end
 
-(* Push as much of [c.out] as the socket will take without blocking.
-   [Unix.write] wants bytes, so [out] is staged through [staging] (the
-   loop's one staging area) rather than copied into a fresh string per
-   flush. *)
-let flush_out conns staging c =
-  let len = Buffer.length c.out in
-  if c.alive && len > 0 then begin
+(* Push as much of [c.out] as the socket will take without blocking. *)
+let flush_out conns c =
+  if c.alive && Buffer.length c.out > 0 then begin
+    let s = Buffer.contents c.out in
+    let len = String.length s in
     let off = ref 0 in
     let blocked = ref false in
     (try
        while (not !blocked) && !off < len do
-         let chunk = min (len - !off) (Bytes.length staging) in
-         Buffer.blit c.out !off staging 0 chunk;
-         match Unix.write c.fd staging 0 chunk with
+         match Unix.write_substring c.fd s !off (len - !off) with
          | 0 -> blocked := true
          | written -> off := !off + written
          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
@@ -94,18 +90,22 @@ let flush_out conns staging c =
          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
        done
      with Unix.Unix_error _ -> close_conn conns c);
-    if c.alive then drop_front c.out !off
+    if c.alive then begin
+      Buffer.clear c.out;
+      if !off < len then Buffer.add_substring c.out s !off (len - !off)
+    end
   end
 
-(* Hand each complete frame at the front of [buf] to [f], reading the
-   lengths in place, then keep the unconsumed tail.  [Error len] when
-   a declared length exceeds [max_frame]; the frames before it have
-   been handed over. *)
-let peel_frames ~max_frame buf f =
+(* Hand each complete frame at the front of [c.buf] to [f], reading
+   the lengths in place, until [c] closes; then keep the unconsumed
+   tail.  [Error len] when a declared length exceeds [max_frame]; the
+   frames before it have been handed over. *)
+let peel_frames ~max_frame c f =
+  let buf = c.buf in
   let have = Buffer.length buf in
   let byte i = Char.code (Buffer.nth buf i) in
   let rec go off =
-    if have - off < 4 then Ok off
+    if (not c.alive) || have - off < 4 then Ok off
     else begin
       let len =
         (byte off lsl 24) lor (byte (off + 1) lsl 16) lor (byte (off + 2) lsl 8)
@@ -163,31 +163,34 @@ let run ?(on_ready = fun () -> ()) config service =
   let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 16 in
   let queue : pending Queue.t = Queue.create () in
   let read_buf = Bytes.create 65536 in
-  let write_buf = Bytes.create 65536 in
   let touched = ref [] in
 
   (* Push what the kernel takes, then close: the stream cannot carry
      anything after this. *)
   let hang_up c =
-    flush_out conns write_buf c;
+    flush_out conns c;
     close_conn conns c
   in
   let send c payload =
-    if c.alive then begin
-      let len = String.length payload in
-      if len > Proto.frame_payload_max then
-        (* A response beyond the 4-byte length header cannot be
-           framed; hang up rather than desynchronize the stream. *)
-        hang_up c
-      else begin
-        Buffer.add_int32_be c.out (Int32.of_int len);
-        Buffer.add_string c.out payload;
-        if not c.touched then begin
-          c.touched <- true;
-          touched := c :: !touched
-        end
-      end
-    end
+    if c.alive then
+      match Proto.add_frame c.out payload with
+      | exception Invalid_argument _ ->
+          (* A response beyond the 4-byte length header cannot be
+             framed; hang up rather than desynchronize the stream. *)
+          hang_up c
+      | () ->
+          if not c.touched then begin
+            c.touched <- true;
+            touched := c :: !touched
+          end;
+          (* Slow-reader shed: a peer that keeps requesting but never
+             reads cannot pin unbounded response bytes in the server.
+             Past the bound, push what the kernel takes now, and close
+             if that does not bring [out] back under it. *)
+          if Buffer.length c.out > config.max_out_buf then begin
+            flush_out conns c;
+            if c.alive && Buffer.length c.out > config.max_out_buf then close_conn conns c
+          end
   in
   let send_json c v = send c (Proto.json_to_string v) in
   (* One write per answered connection, in place of one per response. *)
@@ -195,10 +198,7 @@ let run ?(on_ready = fun () -> ()) config service =
     List.iter
       (fun c ->
         c.touched <- false;
-        flush_out conns write_buf c;
-        (* Slow-reader shed: a peer that keeps requesting but never
-           reads cannot pin unbounded response bytes in the server. *)
-        if c.alive && Buffer.length c.out > config.max_out_buf then close_conn conns c)
+        flush_out conns c)
       !touched;
     touched := []
   in
@@ -261,7 +261,7 @@ let run ?(on_ready = fun () -> ()) config service =
   in
 
   let drain_frames c =
-    match peel_frames ~max_frame:config.max_frame c.buf (on_frame c) with
+    match peel_frames ~max_frame:config.max_frame c (on_frame c) with
     | Ok () -> ()
     | Error len ->
         (* The stream can no longer be framed: answer and close. *)
@@ -349,7 +349,7 @@ let run ?(on_ready = fun () -> ()) config service =
         List.iter
           (fun fd ->
             match Hashtbl.find_opt conns fd with
-            | Some c -> flush_out conns write_buf c
+            | Some c -> flush_out conns c
             | None -> ())
           ready_w;
         List.iter
@@ -395,7 +395,7 @@ let run ?(on_ready = fun () -> ()) config service =
           List.iter
             (fun fd ->
               match Hashtbl.find_opt conns fd with
-              | Some c -> flush_out conns write_buf c
+              | Some c -> flush_out conns c
               | None -> ())
             writable);
       drain_outbound ()

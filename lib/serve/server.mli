@@ -18,8 +18,9 @@
     server cannot drain in time.  The same policy covers the two
     resources the queue cap cannot see: client sockets are
     non-blocking with per-connection write buffers drained via
-    select's write set, and a peer that stops reading is closed once
-    its buffer passes [max_out_buf] (a blocking write there would
+    select's write set, and a peer that stops reading is closed as
+    soon as a response takes its buffer past [max_out_buf] and a
+    flush cannot bring it back under (a blocking write there would
     wedge the event loop for every client); at [max_conns] concurrent
     connections the listen socket is no longer polled, so new clients
     wait in the kernel backlog instead of pushing fd numbers past

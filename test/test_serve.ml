@@ -820,6 +820,84 @@ let test_server_slow_reader () =
               check_true "daemon serves other clients past a slow reader"
                 (json_equal (Proto.member "pong" pong) (Proto.Bool true))))
 
+let test_server_early_answer_shed () =
+  (* Empty frames are malformed payloads, answered (MINEQ-S001) as
+     they are read, before any batch runs.  One write of many of them
+     from a peer that never reads must not pile their answers up in
+     the server: once a response leaves [out] past [max_out_buf] even
+     after a flush, the connection closes.  What the server discarded
+     at the close is every byte it answered minus every byte the peer
+     can still read, and that must stay within the bound plus one
+     response. *)
+  let max_out_buf = 4096 in
+  let answer =
+    match Proto.json_of_string "" with
+    | Ok _ -> Alcotest.fail "the empty payload parsed"
+    | Error m ->
+        Proto.frame
+          (Proto.json_to_string
+             (Proto.error_response ~id:Proto.Null ~code:"MINEQ-S001"
+                ~message:("malformed frame payload: " ^ m)))
+  in
+  let answer_len = String.length answer in
+  with_server
+    ~configure:(fun c -> { c with max_out_buf })
+    (fun path fd ->
+      (* Enough answers to overfill the kernel's socket buffer four
+         times over, so the shed must happen. *)
+      let sndbuf = Unix.getsockopt_int fd Unix.SO_SNDBUF in
+      let frames = max 16_384 ((4 * sndbuf / answer_len) + 1) in
+      let flood = String.make (4 * frames) '\000' in
+      (try
+         let rec write_from off =
+           if off < String.length flood then
+             write_from (off + Unix.write_substring fd flood off (String.length flood - off))
+         in
+         write_from 0
+       with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
+      let answered =
+        match Server.connect ~retries:10 ~path () with
+        | Error m -> Alcotest.failf "connect during the flood: %s" m
+        | Ok fd2 ->
+            Fun.protect
+              ~finally:(fun () -> try Unix.close fd2 with Unix.Unix_error _ -> ())
+              (fun () ->
+                let errors () =
+                  let stats = call_exn fd2 (Proto.Obj [ ("op", Proto.Str "stats") ]) in
+                  match Proto.member "errors" (Proto.member "metrics" stats) with
+                  | Proto.Int e -> e
+                  | _ -> Alcotest.fail "stats lacks metrics.errors"
+                in
+                (* Two equal readings a loop tick apart: the daemon has
+                   read everything the flood left it. *)
+                let rec settle prev tries =
+                  let e = errors () in
+                  if (e > 0 && e = prev) || tries = 0 then e
+                  else begin
+                    Unix.sleepf 0.02;
+                    settle e (tries - 1)
+                  end
+                in
+                settle (-1) 250)
+      in
+      check_true "the flood was cut short" (answered > 0 && answered < frames);
+      let chunk = Bytes.create 65536 in
+      let rec drain received =
+        match Unix.select [ fd ] [] [] 2.0 with
+        | [], _, _ -> Alcotest.fail "the flooding connection was never closed"
+        | _ -> (
+            match Unix.read fd chunk 0 (Bytes.length chunk) with
+            | 0 -> received
+            | n -> drain (received + n)
+            | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> received)
+      in
+      let received = drain 0 in
+      let discarded = (answered * answer_len) - received in
+      if discarded > max_out_buf + answer_len then
+        Alcotest.failf
+          "%d answers (%d bytes) and %d bytes readable: %d bytes held past the %d-byte bound"
+          answered (answered * answer_len) received discarded max_out_buf)
+
 let test_server_conn_cap () =
   with_server
     ~configure:(fun c -> { c with max_conns = 2 })
@@ -872,6 +950,8 @@ let server_suite =
     quick "overload sheds" test_server_shed;
     quick "out-of-range n is typed, not fatal" test_server_bad_n;
     quick "slow reader cannot stall the loop" test_server_slow_reader;
+    quick "early answers to a non-reading peer shed at the bound"
+      test_server_early_answer_shed;
     quick "connection cap pauses accepts" test_server_conn_cap;
     quick "snapshot warms a restart" test_server_snapshot_restart;
     quick "version-1 snapshot boots cold" test_server_stale_snapshot
