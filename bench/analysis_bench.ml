@@ -1,18 +1,16 @@
 (* Analysis bench artifact: the symbolic deciders of lib/analysis
    against the enumeration engines they replace, and the packed
-   enumeration kernels against the list-era pipeline they replace,
-   across network sizes — written to the machine-readable
-   BENCH_analysis.json.
+   enumeration kernels on their own, across network sizes — written
+   to the machine-readable BENCH_analysis.json.
 
    Four decider families per size n:
    - per-gap independence: affine inference (O(2^w)) vs the basis
      witness scan (O(w 2^w)) vs the definitional oracle (O(4^w));
    - Banyan-ness: the D-matrix rank check (O(n^3)) vs the packed
-     path-count DP vs the historical boxed-row DP;
+     path-count DP;
    - full Baseline-equivalence: the analyzer's symbolic verdict vs the
-     packed enumeration characterization (flat-DSU census) vs the
-     list-era pipeline (subgraph materialization + BFS);
-   - single-window component census: packed flat DSU vs subgraph BFS.
+     packed enumeration characterization (flat-DSU census);
+   - single-window component census: packed flat DSU.
 
    Enumeration rows also record minor-heap words allocated per call —
    the packed kernels' figure is the cost of the verdict wrappers
@@ -21,19 +19,21 @@
 
    A fifth family covers the radix generalization: for r in {2, 4, 8}
    the radix-r Omega's Banyan check, component census and
-   characterization run both on the stride-r packed kernels and on
-   the boxed closure pipeline they replaced (Rconnection child lists,
-   subgraph materialization + BFS), with the same *_minor_w
-   allocation columns.  The boxed path-count DP is O(n r^n * r^n), so
-   the Banyan/equivalence columns are measured only while the stage
-   width stays tractable (null beyond); the census columns cover
-   every listed size.
+   characterization on the stride-r packed kernels, with the same
+   *_minor_w allocation columns.  The path-count DP is
+   O(n r^(n-1) * r^(n-1)), so the Banyan/equivalence columns are
+   measured only while the stage width stays tractable (null beyond);
+   the census columns cover every listed size.
 
-   The artifact records three summary facts: the smallest measured n
-   from which the symbolic independence decider stays ahead, the
-   worst packed-vs-list enumeration speedup over n >= 8 (expected and
-   asserted >= 3x by the perf gate in CI docs), and the worst radix
-   packed-vs-boxed speedup over n >= 6 (gated >= 2x).
+   The boxed pipelines the packed kernels replaced are no longer
+   compiled: they live on only as the test suite's oracle.  Their last
+   committed comparison (1 core, OCaml 5.1.1) put the packed
+   enumeration 3.45x ahead of the list-era pipeline at n >= 8 (worst of
+   Banyan and equivalence), and the radix packed kernels 3.61x ahead
+   of the boxed closure pipeline at n >= 6 (worst column).
+
+   The artifact records one summary fact: the smallest measured n from
+   which the symbolic independence decider stays ahead.
 
    The bench is entirely serial, so a 1-core container degrades
    nothing; "cores" is recorded for provenance and "degraded" is
@@ -48,7 +48,6 @@ module Connection = Mineq.Connection
 module Banyan = Mineq.Banyan
 module Properties = Mineq.Properties
 module Equivalence = Mineq.Equivalence
-module Mi_digraph = Mineq.Mi_digraph
 
 let rng seed = Random.State.make [| seed; 0xa0a; 0x1145 |]
 let time_us = Bench_util.time_us
@@ -61,34 +60,12 @@ type row = {
   indep_definitional_us : float;
   banyan_symbolic_us : float;
   banyan_enum_us : float;
-  banyan_list_us : float;
   banyan_enum_minor_w : float;
-  banyan_list_minor_w : float;
   equiv_symbolic_us : float;
   equiv_enum_us : float;
-  equiv_list_us : float;
   equiv_enum_minor_w : float;
-  equiv_list_minor_w : float;
   comp_packed_us : float;
-  comp_subgraph_us : float;
 }
-
-(* List-era equivalence: the graph characterization with the boxed-row
-   Banyan DP and subgraph-materializing BFS component counts — the
-   pipeline the packed kernels replaced. *)
-let equivalent_list g =
-  let n = Mi_digraph.stages g in
-  Result.is_ok (Banyan.check_list g)
-  && List.for_all
-       (fun j ->
-         Properties.component_count_subgraph g ~lo:1 ~hi:j
-         = Properties.expected_components g ~lo:1 ~hi:j)
-       (List.init n (fun j -> j + 1))
-  && List.for_all
-       (fun i ->
-         Properties.component_count_subgraph g ~lo:i ~hi:n
-         = Properties.expected_components g ~lo:i ~hi:n)
-       (List.init n (fun i -> i + 1))
 
 let measure ~smoke n =
   let reps = if smoke then 2 else if n >= 9 then 5 else 50 in
@@ -104,31 +81,22 @@ let measure ~smoke n =
         time_us ~reps:(max 2 (reps / 10)) (fun () -> Connection.is_independent_definitional conn);
       banyan_symbolic_us = time_us ~reps (fun () -> Banyan.symbolic_check g);
       banyan_enum_us = time_us ~reps (fun () -> Banyan.check g);
-      banyan_list_us = time_us ~reps (fun () -> Banyan.check_list g);
       banyan_enum_minor_w = minor_words ~reps (fun () -> Banyan.check g);
-      banyan_list_minor_w = minor_words ~reps (fun () -> Banyan.check_list g);
       equiv_symbolic_us = time_us ~reps (fun () -> Symbolic.equivalent (Symbolic.analyze g));
       equiv_enum_us = time_us ~reps (fun () -> Equivalence.equivalent_enum g);
-      equiv_list_us = time_us ~reps (fun () -> equivalent_list g);
       equiv_enum_minor_w = minor_words ~reps (fun () -> Equivalence.equivalent_enum g);
-      equiv_list_minor_w = minor_words ~reps (fun () -> equivalent_list g);
       comp_packed_us =
         time_us ~reps (fun () -> Properties.component_count g ~lo:1 ~hi:half);
-      comp_subgraph_us =
-        time_us ~reps (fun () -> Properties.component_count_subgraph g ~lo:1 ~hi:half);
     }
   in
   Printf.printf
-    "n=%-2d indep fast/basis/def %8.1f /%8.1f /%10.1f us   banyan sym/packed/list %8.1f \
-     /%9.1f /%9.1f us   equiv sym/packed/list %8.1f /%9.1f /%9.1f us   minor_w \
-     packed/list %9.0f /%9.0f\n%!"
+    "n=%-2d indep fast/basis/def %8.1f /%8.1f /%10.1f us   banyan sym/packed %8.1f /%9.1f us   \
+     equiv sym/packed %8.1f /%9.1f us   minor_w packed %9.0f\n%!"
     n row.indep_fast_us row.indep_basis_us row.indep_definitional_us row.banyan_symbolic_us
-    row.banyan_enum_us row.banyan_list_us row.equiv_symbolic_us row.equiv_enum_us
-    row.equiv_list_us row.equiv_enum_minor_w row.equiv_list_minor_w;
+    row.banyan_enum_us row.equiv_symbolic_us row.equiv_enum_us row.equiv_enum_minor_w;
   row
 
-(* Radix rows: stride-r packed kernels vs the boxed closure pipeline
-   on the radix-r Omega. *)
+(* Radix rows: the stride-r packed kernels on the radix-r Omega. *)
 
 module Rn = Mineq_radix.Rnetwork
 module Rb = Mineq_radix.Rbuild
@@ -138,22 +106,17 @@ type radix_row = {
   r_n : int;
   r_cells : int;
   r_banyan_packed_us : float option;
-  r_banyan_boxed_us : float option;
   r_banyan_packed_minor_w : float option;
-  r_banyan_boxed_minor_w : float option;
   r_census_packed_us : float;
-  r_census_boxed_us : float;
   r_census_packed_minor_w : float;
-  r_census_boxed_minor_w : float;
   r_equiv_packed_us : float option;
-  r_equiv_boxed_us : float option;
 }
 
-(* The per-source DP (packed or boxed) is O(n r^(n-1)) per source,
-   O(n r^2(n-1)) per check: past ~2k cells per stage the boxed row
-   would dominate the whole bench run, so Banyan/equivalence columns
-   stop there and the rows carry null.  The census is near-linear in
-   the window and is measured at every listed size. *)
+(* The per-source DP is O(n r^(n-1)) per source, O(n r^2(n-1)) per
+   check: past ~2k cells per stage it would dominate the whole bench
+   run, so Banyan/equivalence columns stop there and the rows carry
+   null.  The census is near-linear in the window and is measured at
+   every listed size. *)
 let dp_tractable per = per <= 2048
 
 let measure_radix ~smoke (radix, n) =
@@ -174,31 +137,19 @@ let measure_radix ~smoke (radix, n) =
       r_n = n;
       r_cells = per;
       r_banyan_packed_us = opt (fun () -> time_us ~reps (fun () -> Rn.is_banyan g));
-      r_banyan_boxed_us = opt (fun () -> time_us ~reps (fun () -> Rn.is_banyan_list g));
       r_banyan_packed_minor_w =
         opt (fun () -> minor_words ~reps (fun () -> Rn.is_banyan g));
-      r_banyan_boxed_minor_w =
-        opt (fun () -> minor_words ~reps (fun () -> Rn.is_banyan_list g));
       r_census_packed_us =
         time_us ~reps (fun () -> Rn.component_count g ~lo:1 ~hi:half);
-      r_census_boxed_us =
-        time_us ~reps (fun () -> Rn.component_count_subgraph g ~lo:1 ~hi:half);
       r_census_packed_minor_w =
         minor_words ~reps (fun () -> Rn.component_count g ~lo:1 ~hi:half);
-      r_census_boxed_minor_w =
-        minor_words ~reps (fun () -> Rn.component_count_subgraph g ~lo:1 ~hi:half);
       r_equiv_packed_us = opt (fun () -> time_us ~reps (fun () -> Rn.by_characterization g));
-      r_equiv_boxed_us =
-        opt (fun () -> time_us ~reps (fun () -> Rn.by_characterization_list g));
     }
   in
   let show = function Some v -> Printf.sprintf "%9.1f" v | None -> "        -" in
-  Printf.printf
-    "r=%d n=%-2d (%6d cells)  banyan packed/boxed %s /%s us   census packed/boxed %9.1f \
-     /%9.1f us   equiv packed/boxed %s /%s us\n%!"
-    radix n per (show row.r_banyan_packed_us) (show row.r_banyan_boxed_us)
-    row.r_census_packed_us row.r_census_boxed_us (show row.r_equiv_packed_us)
-    (show row.r_equiv_boxed_us);
+  Printf.printf "r=%d n=%-2d (%6d cells)  banyan %s us   census %9.1f us   equiv %s us\n%!"
+    radix n per (show row.r_banyan_packed_us) row.r_census_packed_us
+    (show row.r_equiv_packed_us);
   row
 
 let () =
@@ -222,44 +173,6 @@ let () =
     in
     scan rows
   in
-  let packed_speedup =
-    (* Worst list/packed enumeration ratio over the large sizes: the
-       perf-gate figure (expected >= 3x at n >= 8). *)
-    let large = List.filter (fun r -> r.n >= 8) rows in
-    List.fold_left
-      (fun acc r ->
-        let s = min (r.banyan_list_us /. r.banyan_enum_us) (r.equiv_list_us /. r.equiv_enum_us) in
-        match acc with None -> Some s | Some a -> Some (min a s))
-      None large
-  in
-  (match packed_speedup with
-  | Some s -> Printf.printf "packed vs list enumeration speedup (worst, n>=8): %.2fx\n%!" s
-  | None -> ());
-  let radix_speedup =
-    (* Worst boxed/packed ratio over the radix rows at n >= 6, across
-       every column measured on both sides (gated >= 2x). *)
-    let large = List.filter (fun r -> r.r_n >= 6) radix_rows in
-    List.fold_left
-      (fun acc r ->
-        let ratios =
-          (r.r_census_boxed_us /. r.r_census_packed_us)
-          ::
-          (match (r.r_banyan_packed_us, r.r_banyan_boxed_us) with
-          | Some p, Some b -> [ b /. p ]
-          | _ -> [])
-          @
-          match (r.r_equiv_packed_us, r.r_equiv_boxed_us) with
-          | Some p, Some b -> [ b /. p ]
-          | _ -> []
-        in
-        List.fold_left
-          (fun acc s -> match acc with None -> Some s | Some a -> Some (min a s))
-          acc ratios)
-      None large
-  in
-  (match radix_speedup with
-  | Some s -> Printf.printf "radix packed vs boxed speedup (worst, n>=6): %.2fx\n%!" s
-  | None -> ());
   let buf = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "{\n";
@@ -272,25 +185,17 @@ let () =
   add "  \"degraded\": false,\n";
   add "  \"independence_crossover_n\": %s,\n"
     (match crossover with Some n -> string_of_int n | None -> "null");
-  add "  \"packed_vs_list_min_speedup_n8plus\": %s,\n"
-    (match packed_speedup with Some s -> Printf.sprintf "%.2f" s | None -> "null");
-  add "  \"radix_packed_vs_boxed_min_speedup_n6plus\": %s,\n"
-    (match radix_speedup with Some s -> Printf.sprintf "%.2f" s | None -> "null");
   add "  \"rows\": [\n";
   List.iteri
     (fun i r ->
       add
         "    {\"n\": %d, \"indep_fast_us\": %.2f, \"indep_basis_us\": %.2f, \
          \"indep_definitional_us\": %.2f, \"banyan_symbolic_us\": %.2f, \"banyan_enum_us\": \
-         %.2f, \"banyan_list_us\": %.2f, \"banyan_enum_minor_w\": %.1f, \
-         \"banyan_list_minor_w\": %.1f, \"equiv_symbolic_us\": %.2f, \"equiv_enum_us\": \
-         %.2f, \"equiv_list_us\": %.2f, \"equiv_enum_minor_w\": %.1f, \
-         \"equiv_list_minor_w\": %.1f, \"comp_packed_us\": %.2f, \"comp_subgraph_us\": \
-         %.2f}%s\n"
+         %.2f, \"banyan_enum_minor_w\": %.1f, \"equiv_symbolic_us\": %.2f, \
+         \"equiv_enum_us\": %.2f, \"equiv_enum_minor_w\": %.1f, \"comp_packed_us\": %.2f}%s\n"
         r.n r.indep_fast_us r.indep_basis_us r.indep_definitional_us r.banyan_symbolic_us
-        r.banyan_enum_us r.banyan_list_us r.banyan_enum_minor_w r.banyan_list_minor_w
-        r.equiv_symbolic_us r.equiv_enum_us r.equiv_list_us r.equiv_enum_minor_w
-        r.equiv_list_minor_w r.comp_packed_us r.comp_subgraph_us
+        r.banyan_enum_us r.banyan_enum_minor_w r.equiv_symbolic_us r.equiv_enum_us
+        r.equiv_enum_minor_w r.comp_packed_us
         (if i = List.length rows - 1 then "" else ","))
     rows;
   add "  ],\n";
@@ -300,19 +205,13 @@ let () =
     (fun i r ->
       add
         "    {\"radix\": %d, \"n\": %d, \"cells_per_stage\": %d, \"banyan_packed_us\": %s, \
-         \"banyan_boxed_us\": %s, \"banyan_packed_minor_w\": %s, \"banyan_boxed_minor_w\": \
-         %s, \"census_packed_us\": %.2f, \"census_boxed_us\": %.2f, \
-         \"census_packed_minor_w\": %.1f, \"census_boxed_minor_w\": %.1f, \
-         \"equiv_packed_us\": %s, \"equiv_boxed_us\": %s}%s\n"
+         \"banyan_packed_minor_w\": %s, \"census_packed_us\": %.2f, \
+         \"census_packed_minor_w\": %.1f, \"equiv_packed_us\": %s}%s\n"
         r.r_radix r.r_n r.r_cells
         (jopt "%.2f" r.r_banyan_packed_us)
-        (jopt "%.2f" r.r_banyan_boxed_us)
         (jopt "%.1f" r.r_banyan_packed_minor_w)
-        (jopt "%.1f" r.r_banyan_boxed_minor_w)
-        r.r_census_packed_us r.r_census_boxed_us r.r_census_packed_minor_w
-        r.r_census_boxed_minor_w
+        r.r_census_packed_us r.r_census_packed_minor_w
         (jopt "%.2f" r.r_equiv_packed_us)
-        (jopt "%.2f" r.r_equiv_boxed_us)
         (if i = List.length radix_rows - 1 then "" else ","))
     radix_rows;
   add "  ]\n}\n";

@@ -22,19 +22,7 @@ let output_path ~default =
   in
   scan 1
 
-let quota ~default =
-  (* Same env knob as the bechamel grid: MINEQ_BENCH_QUOTA=<seconds>
-     scales the handwritten benches' budgets too. *)
-  match Option.bind (Sys.getenv_opt "MINEQ_BENCH_QUOTA") float_of_string_opt with
-  | Some q when q > 0.0 -> q
-  | _ -> default
-
-let scaled_reps ~reps =
-  if smoke_requested () then 1
-  else
-    let q = quota ~default:0.5 in
-    if q >= 0.5 then reps
-    else max 1 (int_of_float (float_of_int reps *. q /. 0.5))
+let scaled_reps ~reps = if smoke_requested () then 1 else reps
 
 let time_us ~reps f =
   (* Best of three batches, to damp scheduler noise. *)

@@ -11,15 +11,8 @@ val output_path : default:string -> string
     option values (e.g. the [200] of [--trials 200]) from being
     mistaken for the destination. *)
 
-val quota : default:float -> float
-(** [MINEQ_BENCH_QUOTA] in seconds when set and positive, else
-    [default] — the same budget knob the bechamel grid honours. *)
-
 val scaled_reps : reps:int -> int
-(** The repetition budget after scaling: [1] under [--smoke],
-    [reps] under the full default quota, proportionally fewer (at
-    least 1) when [MINEQ_BENCH_QUOTA] shrinks the budget below the
-    0.5 s default. *)
+(** The repetition budget: [1] under [--smoke], else [reps]. *)
 
 val time_us : reps:int -> (unit -> 'a) -> float
 (** Mean microseconds per call over [reps] calls, best of three

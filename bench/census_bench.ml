@@ -11,8 +11,7 @@
    - both classifications must report identical class structures —
      the bucketing is an optimization, not a different answer.
 
-   Run with --smoke for a tiny-budget crash/format check;
-   MINEQ_BENCH_QUOTA=<seconds> scales the repetition budgets.  All
+   Run with --smoke for a tiny-budget crash/format check.  All
    measurements here are serial (the stream row pins --jobs 1), so
    the artifact is never marked degraded: 1-core containers measure
    the same thing CI's multi-core runner does. *)
@@ -87,10 +86,13 @@ type census_row = {
   k_agree : bool;
 }
 
+(* The pairwise baseline: one constant-key bucket, so each network
+   runs Iso_min against every class found so far. *)
 let census_row ~n ~relabels ~pipid ~randoms ~buddies =
   let tagged = inventory ~n ~relabels ~pipid ~randoms ~buddies in
   let pair_result, pair_ms =
-    Bench_util.time_ms (fun () -> Census.classify_pairwise (strip_caches tagged))
+    Bench_util.time_ms (fun () ->
+        Census.classify_keyed ~key:(fun _ -> ()) (strip_caches tagged))
   in
   let bucket_result, bucket_ms =
     Bench_util.time_ms (fun () -> Census.classify (strip_caches tagged))

@@ -13,8 +13,7 @@
    statistic.
 
    Run with --smoke for a tiny-budget crash/format check (the n = 12
-   gate then runs 10 trials); MINEQ_BENCH_QUOTA=<seconds> scales the
-   repetition budgets like the bechamel grid. *)
+   gate then runs 10 trials). *)
 
 module Loop = Mineq_route.Loop
 module Plan = Mineq_route.Plan

@@ -11,8 +11,7 @@
    single-lane recirculating configuration must cycle; a wrong
    verdict is a bug, not a statistic.
 
-   Run with --smoke for a tiny-budget crash/format check;
-   MINEQ_BENCH_QUOTA=<seconds> scales the repetition budgets. *)
+   Run with --smoke for a tiny-budget crash/format check. *)
 
 module Bit_follow = Mineq_route.Bit_follow
 module Plan = Mineq_route.Plan

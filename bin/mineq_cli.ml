@@ -1087,11 +1087,28 @@ let serve_cmd =
 
 (* rsurvey ------------------------------------------------------------- *)
 
+(* The radix commands get the terminal ceiling [-n] gives the binary
+   ones: R >= 2 and R^N <= 2^Proto.n_limit. *)
+let max_terminals = 1 lsl Mineq_serve.Proto.n_limit
+
 let rsurvey_cmd =
   let radix_arg =
-    Arg.(value & opt int 3 & info [ "radix"; "r" ] ~docv:"R" ~doc:"Cell size (r x r).")
+    let radix_conv =
+      let parse s =
+        match int_of_string_opt s with
+        | Some r when r >= 2 -> Ok r
+        | Some _ -> Error (`Msg "R must be >= 2")
+        | None -> Error (`Msg "R must be an integer")
+      in
+      Arg.conv (parse, Format.pp_print_int)
+    in
+    let doc = Printf.sprintf "Cell size (R x R): R >= 2 and R^N <= %d terminals." max_terminals in
+    Arg.(value & opt radix_conv 3 & info [ "radix"; "r" ] ~docv:"R" ~doc)
   in
-  let run radix n =
+  let rec within_terminals acc k radix =
+    k = 0 || (acc * radix <= max_terminals && within_terminals (acc * radix) (k - 1) radix)
+  in
+  let survey radix n =
     let module Rn = Mineq_radix.Rnetwork in
     let base = Mineq_radix.Rbuild.baseline ~radix n in
     Printf.printf "%-26s %-7s %-12s %-14s %-7s\n" "network" "banyan" "independent"
@@ -1108,9 +1125,15 @@ let rsurvey_cmd =
          (Mineq_radix.Rbuild.all_networks ~radix ~n));
     0
   in
+  let run radix n =
+    if within_terminals 1 n radix then `Ok (survey radix n)
+    else
+      `Error
+        (true, Printf.sprintf "R^N must be at most %d terminals (R=%d, N=%d)" max_terminals radix n)
+  in
   Cmd.v
     (Cmd.info "rsurvey" ~doc:"Property survey of the classical networks at radix r")
-    Term.(const run $ radix_arg $ n_arg)
+    Term.(ret (const run $ radix_arg $ n_arg))
 
 let main_cmd =
   let doc = "Baseline-equivalence toolkit for multistage interconnection networks" in

@@ -6,10 +6,7 @@ type violation = { source : Bv.t; sink : Bv.t; paths : int }
 
 (* Enumeration path counting runs on the packed child tables
    (Packed.first_violation / Packed.path_count_matrix): a per-source
-   forward DP over two reusable rows, against the historical
-   implementation that allocated a fresh row per source per gap plus
-   a tuple per visited node.  The old DP survives as
-   [path_count_matrix_list]/[check_list], the benchmarking baseline. *)
+   forward DP over two reusable rows. *)
 
 let path_count_matrix g = Packed.path_count_matrix (Mi_digraph.packed g)
 
@@ -17,41 +14,6 @@ let check g =
   match Packed.first_violation (Mi_digraph.packed g) with
   | None -> Ok ()
   | Some (source, sink, paths) -> Error { source; sink; paths }
-
-let path_count_matrix_list g =
-  let per = Mi_digraph.nodes_per_stage g in
-  let n = Mi_digraph.stages g in
-  (* Forward DP over stages: start with the identity on stage 1 and
-     push counts through each connection. *)
-  let counts = Array.init per (fun u -> Array.init per (fun v -> if u = v then 1 else 0)) in
-  for gap = 1 to n - 1 do
-    let c = Mi_digraph.connection g gap in
-    Array.iteri
-      (fun u row ->
-        let next = Array.make per 0 in
-        Array.iteri
-          (fun x ways ->
-            if ways > 0 then begin
-              let cf, cg = Connection.children c x in
-              next.(cf) <- next.(cf) + ways;
-              next.(cg) <- next.(cg) + ways
-            end)
-          row;
-        counts.(u) <- next)
-      counts
-  done;
-  counts
-
-let check_list g =
-  let m = path_count_matrix_list g in
-  let per = Mi_digraph.nodes_per_stage g in
-  let rec scan u v =
-    if u = per then Ok ()
-    else if v = per then scan (u + 1) 0
-    else if m.(u).(v) <> 1 then Error { source = u; sink = v; paths = m.(u).(v) }
-    else scan u (v + 1)
-  in
-  scan 0 0
 
 (* Symbolic fast path.  When gap j is independent — children
    [B_j x xor cf_j] and [B_j x xor cg_j] — the stage-n position of a

@@ -26,15 +26,6 @@ val check : Mi_digraph.t -> (unit, violation) result
     major), always by path-count enumeration — the packed DP of
     {!Packed.first_violation}. *)
 
-val path_count_matrix_list : Mi_digraph.t -> int array array
-(** The historical DP (fresh row per source per gap, boxed child
-    tuples), kept as the benchmarking baseline; always agrees with
-    {!path_count_matrix} (qcheck-enforced). *)
-
-val check_list : Mi_digraph.t -> (unit, violation) result
-(** {!check} over {!path_count_matrix_list}: the list-era baseline
-    for the packed-vs-list bench rows. *)
-
 val symbolic_check : Mi_digraph.t -> (unit, violation) result option
 (** O(n^3) decision for networks whose every gap is independent
     (affine with a shared linear part [B_j]): the port word

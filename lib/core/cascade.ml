@@ -66,19 +66,6 @@ let path_counts c =
 let is_banyan c =
   Array.for_all (fun row -> Array.for_all (fun w -> w = 1) row) (path_counts c)
 
-let to_digraph c =
-  let per = cells_per_stage c in
-  let arcs =
-    List.concat
-      (List.mapi
-         (fun gap0 conn ->
-           List.map
-             (fun (x, y) -> ((gap0 * per) + x, ((gap0 + 1) * per) + y))
-             (Connection.to_arcs conn))
-         (Array.to_list c.conns))
-  in
-  Mineq_graph.Digraph.create ~vertices:(stages c * per) arcs
-
 type route = { input : int; output : int; cells : int array }
 
 let route_is_valid c r =

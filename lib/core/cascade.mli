@@ -48,8 +48,6 @@ val is_banyan : t -> bool
 (** Unique paths — typically {e false} for cascades with more than
     [width + 1] stages (extra stages add path diversity). *)
 
-val to_digraph : t -> Mineq_graph.Digraph.t
-
 (** {1 Path checking} *)
 
 type route = { input : int; output : int; cells : int array }

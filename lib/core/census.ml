@@ -1,28 +1,5 @@
 type 'a classified = { representative : Mi_digraph.t; members : 'a list }
 
-let signature g =
-  let buf = Buffer.create 128 in
-  List.iter
-    (fun (lo, hi, found, _) -> Buffer.add_string buf (Printf.sprintf "c%d.%d=%d;" lo hi found))
-    (Properties.full_matrix g);
-  for i = 1 to Mi_digraph.stages g - 1 do
-    Buffer.add_string buf
-      (Printf.sprintf "b%d=%b%b;" i
-         (Properties.output_buddy_stage g i)
-         (Properties.input_buddy_stage g i))
-  done;
-  (* Path-count rows, each sorted, the rows sorted: invariant under
-     relabelling of either boundary stage. *)
-  let rows =
-    Array.to_list (Banyan.path_count_matrix g)
-    |> List.map (fun row -> List.sort compare (Array.to_list row))
-    |> List.sort compare
-  in
-  List.iter
-    (fun row -> Buffer.add_string buf (String.concat "," (List.map string_of_int row) ^ ";"))
-    rows;
-  Buffer.contents buf
-
 (* Bucketed classification.  The key is any isomorphism invariant
    (equal keys necessary for isomorphism): networks shard into
    key-buckets first and Iso_min runs only within a bucket, so the
@@ -30,7 +7,7 @@ let signature g =
    separates never happen.  Class identity and order are key-agnostic:
    classes are reported in first-appearance order of their first
    member and members stay in input order, so any sound key — the
-   fingerprint, the legacy signature, or a constant — produces the
+   fingerprint or a constant — produces the
    identical classified list, only at different cost.  Buckets scan in
    insertion order, which keeps the within-bucket representative
    choice deterministic too. *)
@@ -65,8 +42,6 @@ let classify_keyed ~key tagged =
   List.rev_map (fun c -> { representative = c.rep; members = List.rev c.tags }) !order
 
 let classify tagged = classify_keyed ~key:Fingerprint.of_network tagged
-
-let classify_pairwise tagged = classify_keyed ~key:(fun _ -> 0) tagged
 
 let bucket_stats tagged =
   let keys = Hashtbl.create 64 in

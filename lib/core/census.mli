@@ -10,23 +10,15 @@
     {!Fingerprint} (any two isomorphic networks share one), and the
     {!Iso_min} search runs only within a bucket.  The classified
     output is identical to exhaustive pairwise refinement — the
-    fingerprint only prunes comparisons it has already refuted — so
-    {!classify_pairwise} exists purely as the quadratic baseline the
-    census bench measures the bucketing against. *)
+    fingerprint only prunes comparisons it has already refuted.
+    {!classify_keyed} with a constant key is that pairwise
+    refinement: the quadratic baseline the census bench measures the
+    bucketing against. *)
 
 type 'a classified = {
   representative : Mi_digraph.t;
   members : 'a list;  (** the tags of the instances in this class *)
 }
-
-val signature : Mi_digraph.t -> string
-(** The legacy cheap isomorphism invariant: the [P(i,j)]
-    component-count matrix, the buddy flags per gap, and the sorted
-    path-count profile.  Equal signatures are necessary (not
-    sufficient) for isomorphism.  Superseded as a prescreen by
-    {!Fingerprint} (strictly more discriminating in practice and
-    allocation-free per network); kept for the agreement tests and as
-    an alternative {!classify_keyed} key. *)
 
 val classify_keyed : key:(Mi_digraph.t -> 'k) -> (Mi_digraph.t * 'a) list -> 'a classified list
 (** Group tagged networks by MI-digraph isomorphism ({!Iso_min}),
@@ -40,13 +32,6 @@ val classify_keyed : key:(Mi_digraph.t -> 'k) -> (Mi_digraph.t * 'a) list -> 'a 
 val classify : (Mi_digraph.t * 'a) list -> 'a classified list
 (** {!classify_keyed} with the {!Fingerprint} key — the production
     census path. *)
-
-val classify_pairwise : (Mi_digraph.t * 'a) list -> 'a classified list
-(** {!classify_keyed} with a constant key: every network lands in one
-    bucket, so each one runs the {!Iso_min} search against every
-    already-found class until a match — the quadratic pre-fingerprint
-    behaviour.  Kept as the bench baseline and as the deliberate
-    worst-case collision path for the soundness tests. *)
 
 val bucket_stats : (Mi_digraph.t * 'a) list -> int * int
 (** [(buckets, classes)] for the fingerprint keying of the input:

@@ -110,24 +110,7 @@ let by_characterization g =
                 detail = "Banyan satisfying P(1,j) for all j and P(i,n) for all i"
               }))
 
-let equivalent_enum g =
-  (* Enumeration-only characterization over the packed kernels: Banyan
-     by the path-count DP, then both P families by the flat-DSU
-     census with one shared scratch — the affine fast paths are never
-     consulted.  This is the production enumeration fallback in
-     isolation; the qcheck agreement gate holds it against the
-     symbolic verdict and the legacy list pipeline. *)
-  let n = Mi_digraph.stages g in
-  Result.is_ok (Banyan.check g)
-  &&
-  let p = Mi_digraph.packed g in
-  let scratch = Packed.scratch p in
-  let window_ok ~lo ~hi =
-    Packed.component_count ~scratch p ~lo ~hi = Properties.expected_components g ~lo ~hi
-  in
-  let rec prefixes j = j > n || (window_ok ~lo:1 ~hi:j && prefixes (j + 1)) in
-  let rec suffixes i = i > n || (window_ok ~lo:i ~hi:n && suffixes (i + 1)) in
-  prefixes 1 && suffixes 1
+let equivalent_enum g = Packed.satisfies_characterization (Mi_digraph.packed g)
 
 (* Fingerprint pre-filter.  On MI-digraphs any digraph isomorphism is
    automatically stage-respecting (stage 1 is the in-degree-0 set and

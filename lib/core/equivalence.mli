@@ -62,7 +62,8 @@ val by_isomorphism : ?limit:int -> Mi_digraph.t -> verdict
     packed form and fingerprint are computed once. *)
 
 val equivalent_enum : Mi_digraph.t -> bool
-(** Enumeration-only characterization verdict (Banyan by the packed
+(** Enumeration-only characterization verdict
+    ({!Packed.satisfies_characterization}: Banyan by the packed
     path-count DP, both [P] families by the packed flat-DSU census),
     bypassing every affine/symbolic fast path.  Always agrees with
     {!by_characterization}'s [equivalent] field (qcheck-enforced);

@@ -108,12 +108,6 @@ let reverse g =
     make ~width:g.width (Array.init m (fun i -> rev.(m - 1 - i)))
   end
 
-let node_id g ~stage x = ((stage - 1) * nodes_per_stage g) + x
-
-let node_of_id g id =
-  let per = nodes_per_stage g in
-  ((id / per) + 1, id mod per)
-
 (* Packing ---------------------------------------------------------- *)
 
 let pack_tables ~stages:n ~radix ~width ~child =
@@ -198,29 +192,25 @@ let structural_hash_cache g = g.hash_cache
 
 let set_structural_hash_cache g h = g.hash_cache <- Some h
 
-let subgraph g ~lo ~hi =
-  let n = stages g in
-  if lo < 1 || hi > n || lo > hi then invalid_arg "Mi_digraph.subgraph: bad stage range";
-  let p = packed g in
+let digraph_of_packed p =
   let per = p.p_per in
-  let window = hi - lo + 1 in
-  (* Build the successor arrays directly from the packed child tables
-     (no intermediate arc list). *)
+  let r = p.p_radix in
+  (* Successor arrays straight from the packed child tables, no
+     intermediate arc list. *)
   let succ =
-    Array.init (window * per) (fun v ->
+    Array.init (p.p_stages * per) (fun v ->
         let s = v / per in
-        if s = window - 1 then [||]
+        if s = p.p_stages - 1 then [||]
         else begin
-          let x = v mod per in
-          let ch = p.p_child.(lo + s - 1) in
+          let ch = p.p_child.(s) in
           let base = (s + 1) * per in
-          let r = p.p_radix in
+          let x = v mod per in
           Array.init r (fun j -> base + ch.((r * x) + j))
         end)
   in
   Digraph.of_succ succ
 
-let to_digraph g = subgraph g ~lo:1 ~hi:(stages g)
+let to_digraph g = digraph_of_packed (packed g)
 
 let equal a b =
   stages a = stages b

@@ -144,19 +144,16 @@ val reverse : t -> t
     stages renumbered so stage 1 of the result is stage [n] of the
     argument. *)
 
-val node_id : t -> stage:int -> Mineq_bitvec.Bv.t -> int
-(** Flat vertex id used by {!to_digraph}: stage-major, label-minor. *)
-
-val node_of_id : t -> int -> int * Mineq_bitvec.Bv.t
-(** Inverse of {!node_id}: [(stage, label)]. *)
-
 val to_digraph : t -> Mineq_graph.Digraph.t
-(** The flat digraph over all [n * 2^(n-1)] nodes. *)
+(** The flat digraph over all [n * 2^(n-1)] nodes, vertex ids
+    stage-major and label-minor ([(stage - 1) * 2^(n-1) + label]),
+    successors in port order: {!digraph_of_packed} of {!packed}.
+    Only the generic isomorphism search reads it. *)
 
-val subgraph : t -> lo:int -> hi:int -> Mineq_graph.Digraph.t
-(** [(G)_{lo..hi}]: the sub-digraph on stages [lo .. hi] inclusive
-    (1-based, [1 <= lo <= hi <= n]), as a flat digraph whose vertex
-    ids are [(stage - lo) * 2^(n-1) + label]. *)
+val digraph_of_packed : packed -> Mineq_graph.Digraph.t
+(** The flat digraph of any packing, binary or radix-[r]: vertex
+    [(stage - 1) * r^(n-1) + label] has its [r] children as
+    successors in port order. *)
 
 val equal : t -> t -> bool
 (** Same stage count and identical arc multisets at every gap

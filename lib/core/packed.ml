@@ -75,11 +75,9 @@ let check_window (p : t) ~lo ~hi =
 
 (* Flat union-find restricted to the dense-id range of stages
    [lo .. hi]: path-halving find, union by size, component count
-   maintained by decrement.  Replaces the materialize-subgraph +
-   BFS pipeline (List.concat over boxed arcs, a fresh Digraph, a
-   fresh queue) with a single pass over the child tables.  [union_gaps]
-   is shared by the count and labelling kernels; the binary fast path
-   unrolls the two ports. *)
+   maintained by decrement, in a single pass over the child tables.
+   [union_gaps] is shared by the count and labelling kernels; the
+   binary fast path unrolls the two ports. *)
 let union_gaps (p : t) ~lo ~hi union =
   let per = p.p_per in
   let r = p.p_radix in
@@ -261,6 +259,27 @@ let path_count_matrix (p : t) =
         next := t
       done;
       Array.copy !cur)
+
+(* Characterization ------------------------------------------------- *)
+
+let expected_components (p : t) ~lo ~hi =
+  check_window p ~lo ~hi;
+  let rec pow acc k = if k = 0 then acc else pow (acc * p.p_radix) (k - 1) in
+  pow 1 (p.p_stages - 1 - (hi - lo))
+
+(* Banyan by the path-count DP, then both P families by the flat-DSU
+   census, all on one scratch: the enumeration verdict of the
+   characterization of [12], at any radix (the expected count comes
+   from [p_radix]).  The affine fast paths are never consulted. *)
+let satisfies_characterization (p : t) =
+  let n = p.p_stages in
+  let scratch = scratch p in
+  Option.is_none (first_violation ~scratch p)
+  &&
+  let window_ok ~lo ~hi = component_count ~scratch p ~lo ~hi = expected_components p ~lo ~hi in
+  let rec prefixes j = j > n || (window_ok ~lo:1 ~hi:j && prefixes (j + 1)) in
+  let rec suffixes i = i > n || (window_ok ~lo:i ~hi:n && suffixes (i + 1)) in
+  prefixes 1 && suffixes 1
 
 (* Simulator routing tables ----------------------------------------- *)
 

@@ -19,9 +19,9 @@
     pays nothing for the generalization.
 
     The symbolic deciders of [lib/analysis] remain the fast path when
-    every gap is affine; these kernels replace the {e enumeration
-    fallbacks} (and the old list-materializing pipeline:
-    [Mi_digraph.subgraph] via boxed arc lists + BFS). *)
+    every gap is affine; these kernels are the {e enumeration
+    fallbacks}.  The test suite holds them against a boxed oracle of
+    its own at [r = 2], [3] and [4]. *)
 
 type t = Mi_digraph.packed
 
@@ -99,6 +99,17 @@ val first_violation : ?scratch:scratch -> t -> (int * int * int) option
 val path_count_matrix : t -> int array array
 (** [m.(u).(v)]: number of stage-1-[u] to stage-n-[v] paths.  Fresh
     matrix; the DP itself reuses two rows. *)
+
+val expected_components : t -> lo:int -> hi:int -> int
+(** [r^(n-1-(hi-lo))]: the component count [P(lo, hi)] asks of the
+    window on stages [lo .. hi]. *)
+
+val satisfies_characterization : t -> bool
+(** The characterization of [12] by enumeration alone, at any radix:
+    Banyan ({!first_violation}), then [P(1, j)] for every [j] and
+    [P(i, n)] for every [i] ({!component_count} against
+    {!expected_components}), on one scratch.  The verdict behind both
+    {!Equivalence.equivalent_enum} and [Rnetwork.by_characterization]. *)
 
 val downstream : t -> int array array
 (** Per-gap flat routing tables for the packet simulator: entry

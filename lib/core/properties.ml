@@ -1,7 +1,6 @@
 module Bv = Mineq_bitvec.Bv
 module Gf2 = Mineq_bitvec.Gf2_matrix
 module Subspace = Mineq_bitvec.Subspace
-module Traverse = Mineq_graph.Traverse
 
 let expected_components g ~lo ~hi =
   let n = Mi_digraph.stages g in
@@ -9,31 +8,9 @@ let expected_components g ~lo ~hi =
   1 lsl (n - 1 - (hi - lo))
 
 (* Enumeration census: flat union-find over the packed child tables
-   (Packed.component_count).  The old pipeline — materialize the
-   window as a Digraph (List.concat over boxed arcs) and BFS it —
-   survives only as [component_count_subgraph], kept as the
-   benchmarking baseline and cross-check oracle. *)
+   (Packed.component_count), no arc materialization. *)
 
 let component_count g ~lo ~hi = Packed.component_count (Mi_digraph.packed g) ~lo ~hi
-
-let component_count_subgraph g ~lo ~hi =
-  Traverse.component_count (Mi_digraph.subgraph g ~lo ~hi)
-
-let component_count_dsu g ~lo ~hi =
-  let n = Mi_digraph.stages g in
-  if lo < 1 || hi > n || lo > hi then invalid_arg "Properties: bad stage range";
-  let per = Mi_digraph.nodes_per_stage g in
-  let dsu = Mineq_graph.Dsu.create ((hi - lo + 1) * per) in
-  for gap = lo to hi - 1 do
-    let c = Mi_digraph.connection g gap in
-    let base = (gap - lo) * per in
-    for x = 0 to per - 1 do
-      let cf, cg = Connection.children c x in
-      ignore (Mineq_graph.Dsu.union dsu (base + x) (base + per + cf));
-      ignore (Mineq_graph.Dsu.union dsu (base + x) (base + per + cg))
-    done
-  done;
-  Mineq_graph.Dsu.set_count dsu
 
 (* Symbolic fast path.  On independent gaps — children
    [B x xor cf, B x xor cg] — the stage-lo slice of any component of

@@ -16,18 +16,6 @@ val component_count : Mi_digraph.t -> lo:int -> hi:int -> int
     union-find over the packed child tables
     ({!Packed.component_count}) — no arc materialization. *)
 
-val component_count_subgraph : Mi_digraph.t -> lo:int -> hi:int -> int
-(** The historical pipeline — materialize the window as a
-    [Digraph] and BFS it — kept as the benchmarking baseline and
-    cross-check oracle; always agrees with {!component_count}
-    (qcheck-enforced). *)
-
-val component_count_dsu : Mi_digraph.t -> lo:int -> hi:int -> int
-(** Union-find directly on the boxed connections, skipping digraph
-    construction (the pre-packed engine, see the
-    [x1_p_properties_*] benches); always agrees with
-    {!component_count} (qcheck-enforced). *)
-
 val component_count_affine : Mi_digraph.t -> lo:int -> hi:int -> int option
 (** Symbolic count for windows whose every gap is independent
     (children [B x xor cf, B x xor cg]): the stage-[lo] slice of each

@@ -80,8 +80,6 @@ let structural_hash g =
       Mineq.Mi_digraph.set_structural_hash_cache g h;
       h
 
-let digest_key g = Digest.string (Mineq.Spec_io.to_string g)
-
 module H = Hashtbl.Make (struct
   type t = Mineq.Mi_digraph.t
 

@@ -79,10 +79,6 @@ val structural_equal : Mineq.Mi_digraph.t -> Mineq.Mi_digraph.t -> bool
     assignment.  [true] at once when both arguments are the same
     physical record. *)
 
-val digest_key : Mineq.Mi_digraph.t -> string
-(** The previous key: MD5 of the canonical spec text.  Kept for the
-    agreement tests and external tooling; not used by the cache. *)
-
 val find_or_compute : 'a t -> Mineq.Mi_digraph.t -> (Mineq.Mi_digraph.t -> 'a) -> 'a
 (** Cached value for the network, computing (and storing) on miss.
     Under {!Structural} keying a hit also rebinds the stored key to

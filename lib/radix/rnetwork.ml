@@ -1,5 +1,3 @@
-module Digraph = Mineq_graph.Digraph
-module Traverse = Mineq_graph.Traverse
 module Mi_digraph = Mineq.Mi_digraph
 module Packed = Mineq.Packed
 
@@ -75,22 +73,7 @@ let packed g =
       g.packed_cache <- Some p;
       p
 
-let subgraph g ~lo ~hi =
-  let n = stages g in
-  if lo < 1 || hi > n || lo > hi then invalid_arg "Rnetwork.subgraph: bad stage range";
-  let per = cells_per_stage g in
-  let arcs =
-    List.concat
-      (List.init (hi - lo) (fun k ->
-           let gap = lo + k in
-           let base_src = (gap - lo) * per and base_dst = (gap + 1 - lo) * per in
-           List.map
-             (fun (x, y) -> (base_src + x, base_dst + y))
-             (Rconnection.to_arcs g.conns.(gap - 1))))
-  in
-  Digraph.create ~vertices:((hi - lo + 1) * per) arcs
-
-let to_digraph g = subgraph g ~lo:1 ~hi:(stages g)
+let to_digraph g = Mi_digraph.digraph_of_packed (packed g)
 
 let equal a b =
   stages a = stages b
@@ -99,92 +82,19 @@ let equal a b =
 
 (* Deciders --------------------------------------------------------- *)
 
-(* Banyan: the packed path-count DP (two reusable rows, no per-gap
-   array churn).  The boxed closure pipeline survives as
-   [is_banyan_list] — the bench baseline and the qcheck agreement
-   oracle. *)
+(* Every decider runs on the packed tables: Banyan by the two-row
+   path-count DP, the censuses by the flat union-find, and the
+   characterization by the loop the binary library's
+   [Equivalence.equivalent_enum] runs too. *)
 let is_banyan g = Option.is_none (Packed.first_violation (packed g))
-
-let is_banyan_list g =
-  let per = cells_per_stage g in
-  let n = stages g in
-  let ok = ref true in
-  for u = 0 to per - 1 do
-    if !ok then begin
-      let ways = Array.make per 0 in
-      ways.(u) <- 1;
-      let cur = ref ways in
-      for gap = 1 to n - 1 do
-        let c = connection g gap in
-        let next = Array.make per 0 in
-        Array.iteri
-          (fun x w ->
-            if w > 0 then
-              List.iter (fun y -> next.(y) <- next.(y) + w) (Rconnection.children c x))
-          !cur;
-        cur := next
-      done;
-      if not (Array.for_all (fun w -> w = 1) !cur) then ok := false
-    end
-  done;
-  !ok
 
 let path_count_matrix g = Packed.path_count_matrix (packed g)
 
-let expected_components g ~lo ~hi =
-  let n = stages g in
-  if lo < 1 || hi > n || lo > hi then invalid_arg "Rnetwork: bad stage range";
-  let rec pow acc k = if k = 0 then acc else pow (acc * radix g) (k - 1) in
-  pow 1 (n - 1 - (hi - lo))
+let expected_components g ~lo ~hi = Packed.expected_components (packed g) ~lo ~hi
 
-(* Census: flat union-find over the packed child tables; the old
-   materialize-subgraph + BFS pipeline survives as
-   [component_count_subgraph]. *)
 let component_count g ~lo ~hi = Packed.component_count (packed g) ~lo ~hi
 
-let component_count_subgraph g ~lo ~hi = Traverse.component_count (subgraph g ~lo ~hi)
-
-let p_ij g ~lo ~hi = component_count g ~lo ~hi = expected_components g ~lo ~hi
-
-let p_one_star g =
-  let n = stages g in
-  let rec go j = j > n || (p_ij g ~lo:1 ~hi:j && go (j + 1)) in
-  go 1
-
-let p_star_n g =
-  let n = stages g in
-  let rec go i = i > n || (p_ij g ~lo:i ~hi:n && go (i + 1)) in
-  go 1
-
-let by_characterization g =
-  (* Banyan by the packed DP, then both P families by the flat-DSU
-     census with one shared scratch — one packed compilation serves
-     every window. *)
-  is_banyan g
-  &&
-  let p = packed g in
-  let n = stages g in
-  let scratch = Packed.scratch p in
-  let window_ok ~lo ~hi =
-    Packed.component_count ~scratch p ~lo ~hi = expected_components g ~lo ~hi
-  in
-  let rec prefixes j = j > n || (window_ok ~lo:1 ~hi:j && prefixes (j + 1)) in
-  let rec suffixes i = i > n || (window_ok ~lo:i ~hi:n && suffixes (i + 1)) in
-  prefixes 1 && suffixes 1
-
-let by_characterization_list g =
-  (* The pre-packed pipeline end to end: boxed-row Banyan DP and
-     subgraph-BFS censuses.  Bench baseline and agreement oracle. *)
-  let n = stages g in
-  is_banyan_list g
-  && List.for_all
-       (fun j ->
-         component_count_subgraph g ~lo:1 ~hi:j = expected_components g ~lo:1 ~hi:j)
-       (List.init n (fun j -> j + 1))
-  && List.for_all
-       (fun i ->
-         component_count_subgraph g ~lo:i ~hi:n = expected_components g ~lo:i ~hi:n)
-       (List.init n (fun i -> i + 1))
+let by_characterization g = Packed.satisfies_characterization (packed g)
 
 let by_independence g =
   is_banyan g && List.for_all Rconnection.is_independent (connections g)

@@ -12,10 +12,8 @@
     library ({!Mi_digraph.packed} at stride [r], kernels in
     {!Mineq.Packed}): Banyan by the two-row path-count DP, the
     censuses by the flat union-find — no boxed child lists, no
-    subgraph materialization.  The pre-packed boxed pipeline survives
-    as [is_banyan_list] / [component_count_subgraph] /
-    [by_characterization_list]: the benchmark baselines and the
-    qcheck agreement oracles. *)
+    subgraph materialization.  The test suite holds them against a
+    boxed oracle that reads children through {!Rconnection}. *)
 
 module Mi_digraph := Mineq.Mi_digraph
 
@@ -54,8 +52,9 @@ val packed : t -> Mi_digraph.packed
     idempotent).  Every {!Mineq.Packed} kernel accepts the result. *)
 
 val to_digraph : t -> Mineq_graph.Digraph.t
-
-val subgraph : t -> lo:int -> hi:int -> Mineq_graph.Digraph.t
+(** The flat digraph of {!packed}
+    ({!Mineq.Mi_digraph.digraph_of_packed}): vertex
+    [(stage - 1) * r^(n-1) + cell]. *)
 
 val equal : t -> t -> bool
 
@@ -64,40 +63,23 @@ val equal : t -> t -> bool
 val is_banyan : t -> bool
 (** Packed path-count DP ({!Mineq.Packed.first_violation}). *)
 
-val is_banyan_list : t -> bool
-(** The boxed-closure DP the packed kernel replaced (fresh row per
-    gap, child lists per cell) — bench baseline and agreement
-    oracle. *)
-
 val path_count_matrix : t -> int array array
 (** [m.(u).(v)]: number of stage-1-[u] to stage-n-[v] cell paths, by
     the packed DP. *)
 
 val expected_components : t -> lo:int -> hi:int -> int
+(** [r^(n-1-(hi-lo))] ({!Mineq.Packed.expected_components}). *)
 
 val component_count : t -> lo:int -> hi:int -> int
 (** Flat union-find over the packed child tables
     ({!Mineq.Packed.component_count}). *)
 
-val component_count_subgraph : t -> lo:int -> hi:int -> int
-(** The materialize-subgraph + BFS census the packed kernel replaced
-    — bench baseline and agreement oracle. *)
-
-val p_ij : t -> lo:int -> hi:int -> bool
-
-val p_one_star : t -> bool
-
-val p_star_n : t -> bool
-
 (** {1 Equivalence with the radix-r Baseline} *)
 
 val by_characterization : t -> bool
-(** Banyan + both [P] families (the generalized [12] theorem), on the
-    packed kernels with one shared scratch. *)
-
-val by_characterization_list : t -> bool
-(** The same characterization over the boxed pipeline — bench
-    baseline and agreement oracle. *)
+(** Banyan + both [P] families (the generalized [12] theorem):
+    {!Mineq.Packed.satisfies_characterization}, the loop the binary
+    {!Mineq.Equivalence.equivalent_enum} runs too. *)
 
 val by_independence : t -> bool
 (** Banyan + every connection independent — the radix-r {e analogue}

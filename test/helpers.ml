@@ -62,3 +62,45 @@ let swap_ports g ~gap ~cell =
         g.(cell) <- C.f c cell;
         C.of_arrays ~width:(C.width c) f g
       end)
+
+(* Binary draws: a classical network or a seeded random / PIPID /
+   buddy / relabelled-Baseline one, optionally reversed, n = 2..7. *)
+let binary_draw =
+  QCheck.make
+    ~print:(fun (n, kind, seed, rev) ->
+      Printf.sprintf "n=%d kind=%d seed=%d reverse=%b" n kind seed rev)
+    QCheck.Gen.(quad (int_range 2 7) (int_bound 4) (int_bound 1_000_000) bool)
+
+let binary_network (n, kind, seed, rev) =
+  let rng = rng_of seed in
+  let g =
+    match kind with
+    | 0 ->
+        let nets = all_classical ~n in
+        snd (List.nth nets (seed mod List.length nets))
+    | 1 -> Mineq.Link_spec.random_network rng ~n
+    | 2 -> Mineq.Link_spec.random_pipid_network rng ~n
+    | 3 -> Mineq.Counterexample.random_buddy_network rng ~n
+    | _ -> Mineq.Counterexample.relabelled_equivalent rng (Mineq.Baseline.network n)
+  in
+  if rev then Mineq.Mi_digraph.reverse g else g
+
+(* Radix draws at r = 3 and 4, n = 2..4: the classical inventory or a
+   seeded random / PIPID network, optionally reversed. *)
+let radix_draw =
+  QCheck.make
+    ~print:(fun (r, n, kind, seed) -> Printf.sprintf "r=%d n=%d kind=%d seed=%d" r n kind seed)
+    QCheck.Gen.(quad (int_range 3 4) (int_range 2 4) (int_bound 5) (int_bound 1_000_000))
+
+let radix_network (radix, n, kind, seed) =
+  let module Rb = Mineq_radix.Rbuild in
+  let rng = rng_of seed in
+  let g =
+    match kind / 2 with
+    | 0 ->
+        let nets = Rb.all_networks ~radix ~n in
+        snd (List.nth nets (seed mod List.length nets))
+    | 1 -> Rb.random_network rng ~radix ~n
+    | _ -> Rb.random_pipid_network rng ~radix ~n
+  in
+  if kind mod 2 = 1 then Mineq_radix.Rnetwork.reverse g else g

@@ -195,20 +195,20 @@ let test_memo_key_structural () =
   check_false "so the key separates them" (Memo.structural_equal omega one_cell)
 
 let memo_key_props =
-  (* Agreement with the retired Digest-of-spec key: equal specs key
-     equally under both schemes, distinct ones under neither. *)
+  (* Agreement with digraph equality: equal builds key equally,
+     different stage counts never do. *)
   let net seed ~n = Mineq.Link_spec.random_network (Seeds.derive ~root:seed 0) ~n in
-  [ qcheck "structural key agrees with the digest key" ~count:40 seed_gen (fun seed ->
+  [ qcheck "structural key agrees with the digraph equality" ~count:40 seed_gen (fun seed ->
         let a = net seed ~n:3 in
         let again = net seed ~n:3 in
         let other = net seed ~n:4 in
-        (* equal pair: same build, both keys agree *)
-        Memo.structural_equal a again
+        (* equal pair: same build, equal digraphs, equal keys *)
+        Mineq.Mi_digraph.equal a again
+        && Memo.structural_equal a again
         && Memo.structural_hash a = Memo.structural_hash again
-        && Memo.digest_key a = Memo.digest_key again
-        (* unequal pair (different stage counts): both keys separate *)
-        && (not (Memo.structural_equal a other))
-        && Memo.digest_key a <> Memo.digest_key other);
+        (* unequal pair (different stage counts): separated *)
+        && (not (Mineq.Mi_digraph.equal a other))
+        && not (Memo.structural_equal a other));
     qcheck "classical networks key distinctly" ~count:8
       QCheck.(make ~print:string_of_int Gen.(int_range 3 5))
       (fun n ->

@@ -6,6 +6,10 @@ module L = Mineq.Link_spec
 
 let fp = F.of_network
 
+(* Pairwise classification: one constant-key bucket, so every network
+   runs the Iso_min search against each class found so far. *)
+let classify_pairwise tagged = C.classify_keyed ~key:(fun _ -> ()) tagged
+
 let test_classical_one_fingerprint () =
   (* The six classical networks are pairwise isomorphic (the paper's
      point), so they must share one fingerprint at every n — and
@@ -92,7 +96,7 @@ let test_collision_corpus () =
   let tagged, collisions = corpus_with_collision 0 in
   check_true "corpus has a genuine fingerprint collision" (collisions > 0);
   let bucketed = C.classify tagged in
-  let pairwise = C.classify_pairwise tagged in
+  let pairwise = classify_pairwise tagged in
   check_int "same class count through the collision path" (List.length pairwise)
     (List.length bucketed);
   List.iter2
@@ -171,7 +175,7 @@ let props =
               in
               (g, i))
         in
-        let a = C.classify tagged and b = C.classify_pairwise tagged in
+        let a = C.classify tagged and b = classify_pairwise tagged in
         List.length a = List.length b
         && List.for_all2 (fun (x : _ C.classified) y -> x.C.members = y.C.members) a b);
     qcheck "equivalence prefilter: by_isomorphism agrees with by_characterization" ~count:25

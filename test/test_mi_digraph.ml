@@ -45,36 +45,24 @@ let test_children_parents () =
     (Invalid_argument "Mi_digraph.parents: bad stage") (fun () ->
       ignore (M.parents g ~stage:1 0))
 
-let test_node_ids () =
-  let g = baseline 4 in
-  check_int "node id" 11 (M.node_id g ~stage:2 3);
-  let stage, label = M.node_of_id g 11 in
-  check_int "round trip stage" 2 stage;
-  check_int "round trip label" 3 label
-
 let test_to_digraph () =
   let g = baseline 3 in
   let d = M.to_digraph g in
   check_int "digraph vertices" 12 (D.vertices d);
   check_int "digraph arcs" 16 (D.arc_count d);
-  (* Every stage-2 node has in-degree 2 and out-degree 2. *)
+  (* Vertex ids are stage-major: stage s, label x is (s - 1) * 4 + x.
+     Every stage-2 node has in-degree 2 and out-degree 2. *)
   for x = 0 to 3 do
-    let v = M.node_id g ~stage:2 x in
+    let v = 4 + x in
     check_int "mid in-degree" 2 (D.in_degree d v);
     check_int "mid out-degree" 2 (D.out_degree d v)
   done;
   for x = 0 to 3 do
-    check_int "first stage in-degree 0" 0 (D.in_degree d (M.node_id g ~stage:1 x));
-    check_int "last stage out-degree 0" 0 (D.out_degree d (M.node_id g ~stage:3 x))
+    check_int "first stage in-degree 0" 0 (D.in_degree d x);
+    check_int "last stage out-degree 0" 0 (D.out_degree d (8 + x));
+    (* The f-child comes first among a node's successors. *)
+    check_int "f-child first" (4 + fst (M.children g ~stage:1 x)) (List.hd (D.succ d x))
   done
-
-let test_subgraph () =
-  let g = baseline 4 in
-  let sub = M.subgraph g ~lo:2 ~hi:3 in
-  check_int "window vertices" 16 (D.vertices sub);
-  check_int "window arcs" 16 (D.arc_count sub);
-  Alcotest.check_raises "bad range" (Invalid_argument "Mi_digraph.subgraph: bad stage range")
-    (fun () -> ignore (M.subgraph g ~lo:3 ~hi:2))
 
 let test_reverse () =
   let g = baseline 4 in
@@ -136,28 +124,23 @@ let test_single_stage () =
       ignore (M.single_stage ~width:(-1)))
 
 let props =
-  [ qcheck "arc count is 2 (n-1) 2^(n-1)" n_and_seed (fun (n, seed) ->
-        let g = random_banyan_pipid (rng_of seed) ~n in
-        D.arc_count (M.to_digraph g) = 2 * (n - 1) * M.nodes_per_stage g);
-    qcheck "reverse twice is the identity" n_and_seed (fun (n, seed) ->
+  [ qcheck "reverse twice is the identity" n_and_seed (fun (n, seed) ->
         let g = random_banyan_pipid (rng_of seed) ~n in
         M.equal g (M.reverse (M.reverse g)));
-    qcheck "subgraph of full window equals to_digraph" n_and_seed (fun (n, seed) ->
-        let g = random_banyan_pipid (rng_of seed) ~n in
-        D.equal (M.to_digraph g) (M.subgraph g ~lo:1 ~hi:n));
     qcheck "random relabelling preserves validity" n_and_seed (fun (n, seed) ->
         let rng = rng_of seed in
         let g = random_banyan_pipid rng ~n in
-        M.is_valid (Mineq.Counterexample.relabelled_equivalent rng g))
+        M.is_valid (Mineq.Counterexample.relabelled_equivalent rng g));
+    qcheck "arc count is 2 (n-1) 2^(n-1)" n_and_seed (fun (n, seed) ->
+        let g = random_banyan_pipid (rng_of seed) ~n in
+        D.arc_count (M.to_digraph g) = 2 * (n - 1) * M.nodes_per_stage g)
   ]
 
 let suite =
   [ quick "shape" test_shape;
     quick "create validation" test_create_validation;
     quick "children and parents" test_children_parents;
-    quick "node ids" test_node_ids;
     quick "to_digraph" test_to_digraph;
-    quick "subgraph windows" test_subgraph;
     quick "reverse" test_reverse;
     quick "equality" test_equal;
     quick "relabel" test_relabel;

@@ -2,8 +2,7 @@ open Helpers
 module M = Mineq.Mi_digraph
 module P = Mineq.Packed
 module C = Mineq.Connection
-module Banyan = Mineq.Banyan
-module Properties = Mineq.Properties
+module O = Packed_oracle
 
 (* A random network that need not be Banyan (arbitrary valid MI
    stages), to exercise the kernels on violating inputs too. *)
@@ -17,7 +16,7 @@ let test_shape_accessors () =
   check_int "width" 3 (P.width p);
   check_int "nodes per stage" 8 (P.nodes_per_stage p);
   check_int "total nodes" 32 (P.total_nodes p);
-  check_int "node id" (M.node_id g ~stage:3 5) (P.node_id p ~stage:3 5);
+  check_int "node id" ((2 * 8) + 5) (P.node_id p ~stage:3 5);
   let stage, label = P.node_of_id p 21 in
   check_int "node_of_id stage" 3 stage;
   check_int "node_of_id label" 5 label
@@ -117,22 +116,33 @@ let test_first_violation_witness () =
   check_true "baseline has none"
     (P.first_violation (P.of_network (Mineq.Baseline.network 4)) = None)
 
+(* Agreement gates against the boxed oracle at r = 2, over the seeded
+   families of [Helpers.binary_draw] plus arbitrary valid stages (which
+   carry double links); the radix-3/4 gates are in test_radix_packed. *)
+let oracle_draw = QCheck.pair binary_draw QCheck.bool
+
+let oracle_network (((n, _, seed, _) as draw), any_stages) =
+  if any_stages then random_any_network (rng_of seed) ~n else binary_network draw
+
 let props =
-  [ qcheck "census agrees with the subgraph-BFS and boxed-DSU pipelines" n_and_seed
-      (fun (n, seed) ->
-        let rng = rng_of seed in
-        let g = random_any_network rng ~n in
-        let lo = 1 + Random.State.int rng n in
-        let hi = lo + Random.State.int rng (n - lo + 1) in
-        let packed = Properties.component_count g ~lo ~hi in
-        packed = Properties.component_count_subgraph g ~lo ~hi
-        && packed = Properties.component_count_dsu g ~lo ~hi);
-    qcheck "path-count DP agrees with the boxed-row DP" n_and_seed (fun (n, seed) ->
-        let g = random_any_network (rng_of seed) ~n in
-        Banyan.path_count_matrix g = Banyan.path_count_matrix_list g);
-    qcheck "Banyan witness agrees with the list-era checker" n_and_seed (fun (n, seed) ->
-        let g = random_any_network (rng_of seed) ~n in
-        Banyan.check g = Banyan.check_list g);
+  [ qcheck "census agrees with the boxed union-find oracle (every window)" ~count:150
+      oracle_draw (fun draw ->
+        let g = oracle_network draw in
+        let p = P.of_network g and net = O.of_network g in
+        List.for_all
+          (fun (lo, hi) -> P.component_count p ~lo ~hi = O.component_count net ~lo ~hi)
+          (O.windows net));
+    qcheck "path-count DP agrees with the boxed-row DP" ~count:150 oracle_draw (fun draw ->
+        let g = oracle_network draw in
+        P.path_count_matrix (P.of_network g) = O.path_count_matrix (O.of_network g));
+    qcheck "Banyan witness agrees with the list-era boxed-row oracle" ~count:150 oracle_draw
+      (fun draw ->
+        let g = oracle_network draw in
+        P.first_violation (P.of_network g) = O.first_violation (O.of_network g));
+    qcheck "characterization verdict agrees with the oracle (binary)" ~count:150 oracle_draw
+      (fun draw ->
+        let g = oracle_network draw in
+        Mineq.Equivalence.equivalent_enum g = O.characterization (O.of_network g));
     qcheck "packed enumeration = symbolic characterization (agreement gate)" n_and_seed
       (fun (n, seed) ->
         let rng = rng_of seed in

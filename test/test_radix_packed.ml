@@ -5,11 +5,13 @@ module Rn = Mineq_radix.Rnetwork
 module Rb = Mineq_radix.Rbuild
 module M = Mineq.Mi_digraph
 module P = Mineq.Packed
+module O = Packed_oracle
 
 (* Agreement gates for the stride-r packed kernels: the packed census,
    path-count DP and characterization must coincide with the boxed
-   closure pipeline they replaced, and the r = 2 packing must coincide
-   with the binary library's own packing on the classical inventory. *)
+   oracle (Packed_oracle, children read through Rconnection), and the
+   r = 2 packing must coincide with the binary library's own packing
+   on the classical inventory. *)
 
 let random_any_network rng ~radix ~n =
   Rn.create
@@ -46,13 +48,14 @@ let test_packed_cache_identity () =
 
 let test_census_agreement_baseline () =
   (* Every window of the radix-3 Baseline: packed flat-DSU census =
-     boxed subgraph-BFS census = the closed-form expected count. *)
+     boxed union-find census = the closed-form expected count. *)
   let g = Rb.baseline ~radix:3 4 in
   let n = Rn.stages g in
+  let net = O.of_rnetwork g in
   for lo = 1 to n do
     for hi = lo to n do
       let packed = Rn.component_count g ~lo ~hi in
-      let boxed = Rn.component_count_subgraph g ~lo ~hi in
+      let boxed = O.component_count net ~lo ~hi in
       check_int (Printf.sprintf "census window %d-%d" lo hi) boxed packed;
       check_int
         (Printf.sprintf "expected window %d-%d" lo hi)
@@ -70,10 +73,11 @@ let test_banyan_agreement_inventory () =
       List.iter
         (fun (name, g) ->
           let tag = Printf.sprintf "%s r=%d n=%d" name radix n in
+          let net = O.of_rnetwork g in
           check_true (tag ^ " packed banyan") (Rn.is_banyan g);
-          check_true (tag ^ " boxed banyan") (Rn.is_banyan_list g);
+          check_true (tag ^ " boxed banyan") (O.first_violation net = None);
           check_true (tag ^ " packed characterization") (Rn.by_characterization g);
-          check_true (tag ^ " boxed characterization") (Rn.by_characterization_list g))
+          check_true (tag ^ " boxed characterization") (O.characterization net))
         (Rb.all_networks ~radix ~n))
     [ (2, 4); (3, 3); (4, 3) ]
 
@@ -187,38 +191,28 @@ let test_radix_validation () =
         (String.length msg >= 15 && String.sub msg 0 15 = "Rbuild.baseline"))
 
 let props =
-  let gen =
-    QCheck.make
-      ~print:(fun (r, n, s) -> Printf.sprintf "r=%d n=%d seed=%d" r n s)
-      QCheck.Gen.(triple (int_range 2 4) (int_range 2 4) (int_bound 100000))
+  (* Radix 3 and 4: the classical inventory and seeded random / PIPID
+     networks ([Helpers.radix_draw]), optionally reversed, plus
+     arbitrary valid stages (double links included). *)
+  let draw = QCheck.pair radix_draw QCheck.bool in
+  let network (((radix, n, _, seed) as d), any_stages) =
+    if any_stages then random_any_network (rng_of seed) ~radix ~n else radix_network d
   in
-  [ qcheck "packed radix census = boxed census (random windows)" ~count:60 gen
-      (fun (radix, n, seed) ->
-        let g = random_any_network (rng_of seed) ~radix ~n in
+  [ qcheck "packed radix census = boxed census (every window)" ~count:150 draw (fun d ->
+        let g = network d in
+        let net = O.of_rnetwork g in
         List.for_all
-          (fun (lo, hi) ->
-            Rn.component_count g ~lo ~hi = Rn.component_count_subgraph g ~lo ~hi)
-          (List.concat
-             (List.init n (fun i ->
-                  List.init (n - i) (fun k -> (i + 1, i + 1 + k))))));
-    qcheck "packed radix DP = boxed closure Banyan check" ~count:80 gen
-      (fun (radix, n, seed) ->
-        let rng = rng_of seed in
-        (* Mix PIPID stacks (often Banyan) with arbitrary stages
-           (rarely Banyan) so both verdicts are exercised. *)
-        let g =
-          if Random.State.bool rng then Rb.random_pipid_network rng ~radix ~n
-          else random_any_network rng ~radix ~n
-        in
-        Rn.is_banyan g = Rn.is_banyan_list g);
-    qcheck "packed characterization = boxed characterization" ~count:40 gen
-      (fun (radix, n, seed) ->
-        let rng = rng_of seed in
-        let g =
-          if Random.State.bool rng then Rb.random_pipid_network rng ~radix ~n
-          else random_any_network rng ~radix ~n
-        in
-        Rn.by_characterization g = Rn.by_characterization_list g);
+          (fun (lo, hi) -> Rn.component_count g ~lo ~hi = O.component_count net ~lo ~hi)
+          (O.windows net));
+    qcheck "packed radix DP = boxed closure Banyan check" ~count:150 draw (fun d ->
+        let g = network d in
+        let net = O.of_rnetwork g in
+        Rn.path_count_matrix g = O.path_count_matrix net
+        && P.first_violation (Rn.packed g) = O.first_violation net
+        && Rn.is_banyan g = (O.first_violation net = None));
+    qcheck "packed characterization = boxed characterization" ~count:150 draw (fun d ->
+        let g = network d in
+        Rn.by_characterization g = O.characterization (O.of_rnetwork g));
     qcheck "r=2 random networks: radix packed = binary packed" ~count:40
       (QCheck.make ~print:(fun (n, s) -> Printf.sprintf "n=%d seed=%d" n s)
          QCheck.Gen.(pair (int_range 2 4) (int_bound 100000)))
