@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Check that two commits print the same answers from the CLI.
 
-    python3 bench/cli_sweep/compare.py BASE [--work DIR] [--timeout S]
+    python3 bench/cli_sweep/compare.py BASE [--work DIR]
 
 Run from anywhere inside a mineq checkout.  BASE is a git revision:
 the script extracts it with `git archive`, builds bin/mineq_cli.exe
-(release profile) there and in the checkout, and runs both binaries
-over the same invocations:
+(release profile) there and in the checkout with bench/wire/compare.py's
+`build_pair`, and runs both binaries over the same invocations:
 
   - `check NAME -n N` and `equiv NAME -n N -m independence|characterization`
     at N = 2..8;
@@ -18,37 +18,25 @@ buddy:1..6, plus `rsurvey --radix 3 -n 2..5` and `--radix 4 -n 2..4`.
 
 Wherever BASE exits 0, the checkout must exit 0 with byte-identical
 stdout.  Invocations on which BASE exits non-zero are counted and listed
-with both exit codes, not compared.  It exits 1 on any difference.
+with both exit codes, not compared; one that runs past TIMEOUT_S seconds
+counts as exit "timeout".  It exits 1 on any difference.
 Builds go to --work (a fresh temporary directory by default), never
 into the checkout.
 """
 
 import argparse
 import os
-import shutil
 import subprocess
 import sys
-import tempfile
 
-HERE = os.path.dirname(os.path.abspath(__file__))
-ROOT = os.path.dirname(os.path.dirname(HERE))
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+sys.path.insert(0, os.path.join(ROOT, "bench", "wire"))
+from compare import build_pair  # noqa: E402  (bench/wire/compare.py)
 
+TIMEOUT_S = 120
 CLASSICAL = ["omega", "flip", "cube", "mdm", "baseline", "reverse-baseline"]
 NAMES = (CLASSICAL + [f"random:{s}" for s in range(1, 8)]
          + [f"pipid:{s}" for s in range(1, 8)] + [f"buddy:{s}" for s in range(1, 7)])
-
-
-def build(root, build_dir):
-    subprocess.run(["dune", "build", "--root", ".", "--build-dir", build_dir, "--profile",
-                    "release", "./bin/mineq_cli.exe"], cwd=root, check=True)
-    return os.path.join(build_dir, "default", "bin", "mineq_cli.exe")
-
-
-def extract(rev, dest):
-    os.makedirs(dest)
-    archive = subprocess.run(["git", "-C", ROOT, "archive", rev], check=True,
-                             stdout=subprocess.PIPE).stdout
-    subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
 
 
 def invocations():
@@ -65,10 +53,10 @@ def invocations():
             yield ["rsurvey", "--radix", str(radix), "-n", str(n)]
 
 
-def run(exe, argv, timeout):
+def run(exe, argv):
     try:
         p = subprocess.run([exe, *argv], stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-                           timeout=timeout)
+                           timeout=TIMEOUT_S)
         return p.returncode, p.stdout
     except subprocess.TimeoutExpired:
         return "timeout", b""
@@ -78,25 +66,16 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("base", help="git revision to compare against")
     ap.add_argument("--work", help="working directory (default: a fresh temporary one)")
-    ap.add_argument("--timeout", type=float, default=120.0,
-                    help="seconds allowed per invocation (default 120)")
     args = ap.parse_args()
 
-    work = os.path.abspath(args.work or tempfile.mkdtemp(prefix="cli_sweep_"))
-    os.makedirs(work, exist_ok=True)
-    base_tree = os.path.join(work, "base")
-    if os.path.exists(base_tree):
-        shutil.rmtree(base_tree)
-    extract(args.base, base_tree)
-    base = build(base_tree, os.path.join(work, "build_base"))
-    head = build(ROOT, os.path.join(work, "build_head"))
+    work, base, head = build_pair(args.base, args.work, "bin/mineq_cli.exe")
 
     total = compared = 0
     skipped, differ = [], []
     for argv in invocations():
         total += 1
-        base_code, base_out = run(base, argv, args.timeout)
-        head_code, head_out = run(head, argv, args.timeout)
+        base_code, base_out = run(base, argv)
+        head_code, head_out = run(head, argv)
         if base_code != 0:
             skipped.append((argv, base_code, head_code))
             continue

@@ -27,24 +27,39 @@ import subprocess
 import sys
 import tempfile
 
-HERE = os.path.dirname(os.path.abspath(__file__))
-ROOT = os.path.dirname(os.path.dirname(HERE))
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
-def build(root, build_dir):
+def build(root, build_dir, target):
     subprocess.run(["dune", "build", "--root", ".", "--build-dir", build_dir, "--profile",
-                    "release", "./bench/wire/wire_dump.exe"], cwd=root, check=True)
-    return os.path.join(build_dir, "default", "bench", "wire", "wire_dump.exe")
+                    "release", "./" + target], cwd=root, check=True)
+    return os.path.join(build_dir, "default", target)
 
 
-def extract(rev, dest):
-    os.makedirs(dest)
+def build_pair(rev, work, target, overlay=None):
+    """Build TARGET (a path from the repo root) in REV and in this checkout.
+
+    REV is extracted with `git archive` to WORK/base (a fresh temporary
+    WORK if None), with this checkout's directory OVERLAY, if given,
+    copied over REV's own.  The builds use the release profile and go to
+    WORK/build_base and WORK/build_head.  Returns WORK and the two
+    executables, REV's first.
+    """
+    work = os.path.abspath(work or tempfile.mkdtemp(prefix="mineq_compare_"))
+    base_tree = os.path.join(work, "base")
+    if os.path.exists(base_tree):
+        shutil.rmtree(base_tree)
+    os.makedirs(base_tree)
     archive = subprocess.run(["git", "-C", ROOT, "archive", rev], check=True,
                              stdout=subprocess.PIPE).stdout
-    subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
-    wire = os.path.join(dest, "bench", "wire")
-    shutil.rmtree(wire, ignore_errors=True)
-    shutil.copytree(HERE, wire, ignore=shutil.ignore_patterns("__pycache__"))
+    subprocess.run(["tar", "-x", "-C", base_tree], input=archive, check=True)
+    if overlay:
+        dest = os.path.join(base_tree, overlay)
+        shutil.rmtree(dest, ignore_errors=True)
+        shutil.copytree(os.path.join(ROOT, overlay), dest,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    return (work, build(base_tree, os.path.join(work, "build_base"), target),
+            build(ROOT, os.path.join(work, "build_head"), target))
 
 
 def first_difference(a, b):
@@ -61,14 +76,9 @@ def main():
     ap.add_argument("--work", help="working directory (default: a fresh temporary one)")
     args = ap.parse_args()
 
-    work = os.path.abspath(args.work or tempfile.mkdtemp(prefix="wire_compare_"))
-    os.makedirs(work, exist_ok=True)
-    base_tree = os.path.join(work, "base")
-    if os.path.exists(base_tree):
-        shutil.rmtree(base_tree)
-    extract(args.base, base_tree)
-    dumps = {"base": build(base_tree, os.path.join(work, "build_base")),
-             "head": build(ROOT, os.path.join(work, "build_head"))}
+    work, base, head = build_pair(args.base, args.work, "bench/wire/wire_dump.exe",
+                                  overlay="bench/wire")
+    dumps = {"base": base, "head": head}
 
     with open(os.path.join(ROOT, "perfbench", "workloads.json")) as fh:
         workloads = json.load(fh)["workloads"]

@@ -90,8 +90,6 @@ let is_banyan g = Option.is_none (Packed.first_violation (packed g))
 
 let path_count_matrix g = Packed.path_count_matrix (packed g)
 
-let expected_components g ~lo ~hi = Packed.expected_components (packed g) ~lo ~hi
-
 let component_count g ~lo ~hi = Packed.component_count (packed g) ~lo ~hi
 
 let by_characterization g = Packed.satisfies_characterization (packed g)

@@ -67,9 +67,6 @@ val path_count_matrix : t -> int array array
 (** [m.(u).(v)]: number of stage-1-[u] to stage-n-[v] cell paths, by
     the packed DP. *)
 
-val expected_components : t -> lo:int -> hi:int -> int
-(** [r^(n-1-(hi-lo))] ({!Mineq.Packed.expected_components}). *)
-
 val component_count : t -> lo:int -> hi:int -> int
 (** Flat union-find over the packed child tables
     ({!Mineq.Packed.component_count}). *)

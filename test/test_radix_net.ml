@@ -195,7 +195,7 @@ let test_routing_rejects_non_banyan () =
 let test_subgraph_and_reverse () =
   let g = Rb.baseline ~radix:3 3 in
   check_int "window components" 3 (Rn.component_count g ~lo:2 ~hi:3);
-  check_int "expected" 3 (Rn.expected_components g ~lo:2 ~hi:3);
+  check_int "expected" 3 (Mineq.Packed.expected_components (Rn.packed g) ~lo:2 ~hi:3);
   let r = Rn.reverse g in
   check_true "reverse banyan" (Rn.is_banyan r);
   check_true "reverse characterization" (Rn.by_characterization r);

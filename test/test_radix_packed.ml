@@ -59,7 +59,7 @@ let test_census_agreement_baseline () =
       check_int (Printf.sprintf "census window %d-%d" lo hi) boxed packed;
       check_int
         (Printf.sprintf "expected window %d-%d" lo hi)
-        (Rn.expected_components g ~lo ~hi)
+        (P.expected_components (Rn.packed g) ~lo ~hi)
         packed
     done
   done
